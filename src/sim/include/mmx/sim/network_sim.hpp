@@ -76,7 +76,9 @@ class NetworkSimulator {
 
   /// add_node with the full admission verdict: the deny backoff hint and
   /// the (possibly demoted) granted rate. `priority` feeds overload
-  /// shedding; 1 matches add_node exactly.
+  /// shedding; 1 matches add_node exactly. Every call consumes a node id,
+  /// granted or not; ids are never reused, so once all 65,535 have been
+  /// issued registration throws std::length_error.
   Admission admit(const channel::Pose& pose, double rate_bps, std::uint8_t priority = 1);
 
   /// Grow demoted grants back toward their requested rate (overload mode;
@@ -84,18 +86,20 @@ class NetworkSimulator {
   /// promoted grant; re-tune notifications queue for drain_retunes().
   std::vector<std::pair<std::uint16_t, double>> promote_demoted();
 
-  /// Drain queued re-tune notifications (compaction, shedding, promotion)
-  /// and sync the stored node grants. The caller applies the new rate
-  /// bounds to its per-node controllers.
+  /// Drain queued re-tune notifications (compaction, shedding, promotion).
+  /// The caller applies the new rate bounds to its per-node controllers.
   std::vector<mac::ChannelGrant> drain_retunes();
 
-  /// AP-side init protocol (grants, allocator, overload stats).
+  /// AP-side init protocol: the single owner of association (a resident
+  /// node is associated iff it holds a grant there), the allocator and
+  /// the overload stats.
   const mac::InitProtocol& init() const { return init_; }
 
   /// Register a node at the link layer WITHOUT requesting spectrum — an
   /// unassociated "thing" the AP still tracks (gains/link/bearing work;
   /// grant() does not). Large-scale churn keeps denied joiners resident
-  /// this way so they can retry as spectrum frees up.
+  /// this way so they can retry as spectrum frees up. Consumes an id
+  /// like admit().
   std::uint16_t add_tracked_node(const channel::Pose& pose);
 
   void remove_node(std::uint16_t id);
@@ -156,11 +160,10 @@ class NetworkSimulator {
   /// other-channel nodes through the channelization filters.
   std::map<std::uint16_t, double> sinr_all_db() const;
 
+  /// The node's live grant (the init protocol re-points it on SDM
+  /// conversion, compaction, shedding and promotion). Throws
+  /// std::out_of_range if the node holds none.
   const mac::ChannelGrant& grant(std::uint16_t id) const;
-
-  /// True if the node holds a channel grant (add_tracked_node and denied
-  /// joiners are resident but unassociated).
-  bool is_associated(std::uint16_t id) const;
 
   /// Node's arrival bearing at the AP (AP-frame azimuth of the LoS).
   double bearing_at_ap(std::uint16_t id) const;
@@ -169,15 +172,13 @@ class NetworkSimulator {
   const channel::Pose& node_pose(std::uint16_t id) const;
 
   std::size_t num_nodes() const { return num_nodes_; }
-  std::size_t num_associated() const;
   const channel::Pose& ap_pose() const { return ap_pose_; }
   const LinkBudget& budget() const { return budget_; }
 
  private:
+  /// Link-layer state of a resident node. Association lives in init_.
   struct NodeState {
     channel::Pose pose;
-    mac::ChannelGrant grant;
-    bool associated = true;
     /// Last note_activity() time; negative = never noted (reap-exempt).
     double last_active_s = -1.0;
   };
@@ -208,6 +209,8 @@ class NetworkSimulator {
   };
 
   const NodeState& node(std::uint16_t id) const;
+  /// Next unused node id; throws std::length_error when none is left.
+  std::uint16_t issue_id();
   void store_node(std::uint16_t id, NodeState state);
   channel::BeamGains compute_gains(const channel::Pose& pose) const;
   /// Lazily recompile ctx_ against the current Room::epoch(). Not safe
@@ -234,7 +237,7 @@ class NetworkSimulator {
   rf::SpdtSwitch spdt_;
   std::vector<NodeSlot> nodes_;
   std::size_t num_nodes_ = 0;
-  std::uint16_t next_id_ = 1;
+  std::uint16_t next_id_ = 1;  ///< 0 once every id has been issued
   mutable LinkCache cache_;
   mutable TraceContext ctx_;
   std::uint64_t refresh_gen_ = 0;  ///< refresh_cache() call count (trace span key)

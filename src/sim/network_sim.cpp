@@ -56,13 +56,13 @@ NetworkSimulator::Admission NetworkSimulator::admit(const channel::Pose& pose,
                                                     double rate_bps, std::uint8_t priority) {
   if (!room_.contains(pose.position))
     throw std::invalid_argument("NetworkSimulator: node outside the room");
-  const std::uint16_t id = next_id_++;
+  const std::uint16_t id = issue_id();
   // Bearing at registration: AP-frame azimuth of the direct path.
   const double bearing =
       wrap_angle((pose.position - ap_pose_.position).angle() - ap_pose_.orientation_rad);
   const auto reply = init_.handle(mac::ChannelRequest{id, rate_bps, bearing, priority});
   if (const auto* grant = std::get_if<mac::ChannelGrant>(&reply)) {
-    store_node(id, NodeState{pose, *grant, /*associated=*/true});
+    store_node(id, NodeState{pose});
     return Admission{id, 0.0,
                      grant->channel.bandwidth_hz * cfg_.init.spectral_efficiency};
   }
@@ -72,29 +72,26 @@ NetworkSimulator::Admission NetworkSimulator::admit(const channel::Pose& pose,
 
 std::vector<std::pair<std::uint16_t, double>> NetworkSimulator::promote_demoted() {
   std::vector<std::pair<std::uint16_t, double>> out;
-  for (const mac::ChannelGrant& g : init_.promote_demoted()) {
-    if (g.node_id < nodes_.size() && nodes_[g.node_id].present)
-      nodes_[g.node_id].state.grant = g;
-    out.emplace_back(g.node_id,
-                     g.channel.bandwidth_hz * cfg_.init.spectral_efficiency);
-  }
+  for (const mac::ChannelGrant& g : init_.promote_demoted())
+    out.emplace_back(g.node_id, g.channel.bandwidth_hz * cfg_.init.spectral_efficiency);
   return out;
 }
 
-std::vector<mac::ChannelGrant> NetworkSimulator::drain_retunes() {
-  std::vector<mac::ChannelGrant> retunes = init_.take_retunes();
-  for (const mac::ChannelGrant& g : retunes)
-    if (g.node_id < nodes_.size() && nodes_[g.node_id].present)
-      nodes_[g.node_id].state.grant = g;
-  return retunes;
-}
+std::vector<mac::ChannelGrant> NetworkSimulator::drain_retunes() { return init_.take_retunes(); }
 
 std::uint16_t NetworkSimulator::add_tracked_node(const channel::Pose& pose) {
   if (!room_.contains(pose.position))
     throw std::invalid_argument("NetworkSimulator: node outside the room");
-  const std::uint16_t id = next_id_++;
-  store_node(id, NodeState{pose, mac::ChannelGrant{}, /*associated=*/false});
+  const std::uint16_t id = issue_id();
+  store_node(id, NodeState{pose});
   return id;
+}
+
+std::uint16_t NetworkSimulator::issue_id() {
+  // Ids are never reused: a wrapped id would alias a live node's slot and
+  // the init protocol would hand it that node's grant.
+  if (next_id_ == 0) throw std::length_error("NetworkSimulator: node ids exhausted");
+  return next_id_++;
 }
 
 void NetworkSimulator::store_node(std::uint16_t id, NodeState state) {
@@ -124,8 +121,9 @@ std::vector<std::uint16_t> NetworkSimulator::reap_inactive(double now_s,
   std::vector<std::uint16_t> reaped;
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     const NodeSlot& slot = nodes_[id];
-    if (!slot.present || !slot.state.associated || slot.state.last_active_s < 0.0) continue;
-    if (now_s - slot.state.last_active_s >= silence_timeout_s)
+    if (!slot.present || slot.state.last_active_s < 0.0) continue;
+    const bool silent = now_s - slot.state.last_active_s >= silence_timeout_s;
+    if (silent && init_.grant(static_cast<std::uint16_t>(id)) != nullptr)
       reaped.push_back(static_cast<std::uint16_t>(id));
   }
   for (const std::uint16_t id : reaped) remove_node(id);
@@ -134,10 +132,7 @@ std::vector<std::uint16_t> NetworkSimulator::reap_inactive(double now_s,
 }
 
 bool NetworkSimulator::revoke_grant(std::uint16_t id) {
-  if (id >= nodes_.size() || !nodes_[id].present || !nodes_[id].state.associated) return false;
-  init_.release(id);
-  nodes_[id].state.grant = mac::ChannelGrant{};
-  nodes_[id].state.associated = false;
+  if (id >= nodes_.size() || !nodes_[id].present || !init_.release(id)) return false;
   MMX_OBS_COUNT("sim.ap.revocations", 1);
   return true;
 }
@@ -345,19 +340,9 @@ std::size_t NetworkSimulator::refresh_cache(std::size_t threads) {
 }
 
 const mac::ChannelGrant& NetworkSimulator::grant(std::uint16_t id) const {
-  // Read the live grant: the init protocol may re-point a node's SDM
-  // harmonic when its channel later becomes shared.
-  const auto it = init_.grants().find(id);
-  if (it == init_.grants().end()) throw std::out_of_range("NetworkSimulator: unknown node");
-  return it->second;
-}
-
-bool NetworkSimulator::is_associated(std::uint16_t id) const { return node(id).associated; }
-
-std::size_t NetworkSimulator::num_associated() const {
-  std::size_t n = 0;
-  for (const NodeSlot& slot : nodes_) n += (slot.present && slot.state.associated) ? 1 : 0;
-  return n;
+  const mac::ChannelGrant* g = init_.grant(id);
+  if (g == nullptr) throw std::out_of_range("NetworkSimulator: node holds no grant");
+  return *g;
 }
 
 const channel::Pose& NetworkSimulator::node_pose(std::uint16_t id) const {
@@ -374,8 +359,8 @@ std::map<std::uint16_t, double> NetworkSimulator::sinr_all_db() const {
   std::map<std::uint16_t, double> rx_w;
   std::map<std::uint16_t, double> bearing;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].present || !nodes_[i].state.associated) continue;
     const auto id = static_cast<std::uint16_t>(i);
+    if (!nodes_[i].present || init_.grant(id) == nullptr) continue;
     const OtamLink l = link(id);
     rx_w[id] = dbm_to_watt(std::max(l.rx1_dbm, l.rx0_dbm));
     bearing[id] = bearing_at_ap(id);

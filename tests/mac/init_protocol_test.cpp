@@ -163,8 +163,8 @@ TEST(InitProtocol, ModifyRateDenyRestoresOldGrant) {
   // Node 1 asks for more than remains -> deny, but keeps its old channel.
   const auto msg = p.modify_rate(1, 190e6);
   EXPECT_NE(std::get_if<ChannelDeny>(&msg), nullptr);
-  ASSERT_TRUE(p.grants().contains(1));
-  EXPECT_NEAR(p.grants().at(1).channel.bandwidth_hz, 12.5e6, 1.0);
+  ASSERT_NE(p.grant(1), nullptr);
+  EXPECT_NEAR(p.grant(1)->channel.bandwidth_hz, 12.5e6, 1.0);
 }
 
 TEST(InitProtocol, ModifyRateDenyRestoresGrantBitExact) {
@@ -176,11 +176,11 @@ TEST(InitProtocol, ModifyRateDenyRestoresGrantBitExact) {
   p.handle(ChannelRequest{1, 40e6, 0.0});
   p.handle(ChannelRequest{2, 40e6, 0.8});
   p.handle(ChannelRequest{3, 40e6, 1.6});
-  const ChannelGrant before = p.grants().at(2);
+  const ChannelGrant before = *p.grant(2);
   const auto msg = p.modify_rate(2, 190e6);  // 237.5 MHz: cannot fit
   EXPECT_NE(std::get_if<ChannelDeny>(&msg), nullptr);
-  ASSERT_TRUE(p.grants().contains(2));
-  const ChannelGrant& after = p.grants().at(2);
+  ASSERT_NE(p.grant(2), nullptr);
+  const ChannelGrant& after = *p.grant(2);
   EXPECT_DOUBLE_EQ(after.channel.center_hz, before.channel.center_hz);
   EXPECT_DOUBLE_EQ(after.channel.bandwidth_hz, before.channel.bandwidth_hz);
   EXPECT_EQ(after.sdm_harmonic, before.sdm_harmonic);
@@ -282,7 +282,7 @@ TEST(InitProtocolOverload, DenyHintGrowsWithPressureAndResets) {
   // Every hint positive and bounded; the deny streak pushes them up.
   for (const double h : hints) {
     EXPECT_GT(h, 0.0);
-    EXPECT_LE(h, cfg.overload.hint_max_s);
+    EXPECT_LE(h, kDenyHintMaxS);
   }
   EXPECT_GT(hints.back(), hints.front());
   EXPECT_EQ(p.overload_stats().hinted_denies, 4u);
@@ -320,7 +320,8 @@ TEST(InitProtocolOverload, CompactionAdmitsFragmentedDemand) {
   ASSERT_FALSE(retunes.empty());
   rf::Vco vco;
   for (const ChannelGrant& rt : retunes) {
-    EXPECT_EQ(p.grants().at(rt.node_id).channel, rt.channel);
+    ASSERT_NE(p.grant(rt.node_id), nullptr);
+    EXPECT_EQ(p.grant(rt.node_id)->channel, rt.channel);
     EXPECT_GE(vco.frequency_hz(rt.vco_tune_v0), rt.channel.low_hz() - 1.0);
     EXPECT_LE(vco.frequency_hz(rt.vco_tune_v1), rt.channel.high_hz() + 1.0);
   }
@@ -344,7 +345,8 @@ TEST(InitProtocolOverload, SheddingReclaimsFromLowerPriorityThenPromotes) {
   EXPECT_GE(p.overload_stats().shed_demotions, 1u);
   EXPECT_EQ(p.overload_stats().invariant_violations, 0u);
   // Nobody — shed incumbents included — sits below the floor.
-  for (const auto& [id, grant] : p.grants()) {
+  EXPECT_EQ(p.num_grants(), 3u);
+  for (std::uint16_t id = 1; id <= 3; ++id) {
     ASSERT_TRUE(p.granted_rate_bps(id).has_value());
     EXPECT_GE(*p.granted_rate_bps(id), cfg.overload.min_rate_bps - 1.0);
   }

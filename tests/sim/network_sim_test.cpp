@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <vector>
+
 #include "mmx/channel/blockage.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
@@ -115,6 +119,75 @@ TEST(NetworkSim, ValidatesPositions) {
   EXPECT_THROW(net.link(999), std::out_of_range);
   EXPECT_THROW(NetworkSimulator(channel::Room(6.0, 4.0), channel::Pose{{7.0, 2.0}, 0.0}),
                std::invalid_argument);
+}
+
+TEST(NetworkSim, RevokeGrantKeepsNodeResident) {
+  NetworkSimulator net = paper_testbed();
+  const channel::Pose pose{{1.0, 2.0}, 0.0};
+  const auto id = net.add_node(pose, 10e6);
+  ASSERT_TRUE(id);
+  EXPECT_TRUE(net.revoke_grant(*id));
+  EXPECT_FALSE(net.revoke_grant(*id));  // already unassociated
+  // The spectrum is gone; the node is still resident and measurable.
+  EXPECT_THROW(net.grant(*id), std::out_of_range);
+  EXPECT_EQ(net.init().num_grants(), 0u);
+  EXPECT_EQ(net.init().allocator().num_allocations(), 0u);
+  EXPECT_EQ(net.num_nodes(), 1u);
+  EXPECT_EQ(net.node_pose(*id), pose);
+  EXPECT_GT(net.link(*id).snr_db, 15.0);
+  // Tracked-only and unknown ids hold nothing to revoke.
+  const std::uint16_t tracked = net.add_tracked_node({{2.0, 1.0}, 0.0});
+  EXPECT_FALSE(net.revoke_grant(tracked));
+  EXPECT_FALSE(net.revoke_grant(999));
+}
+
+TEST(NetworkSim, ReapInactiveTakesOnlySilentGrantedNodes) {
+  NetworkSimulator net = paper_testbed();
+  const auto silent_a = net.add_node({{1.0, 1.0}, 0.0}, 10e6);
+  const auto recent = net.add_node({{1.0, 2.0}, 0.0}, 10e6);
+  const auto never_noted = net.add_node({{1.0, 3.0}, 0.0}, 10e6);
+  const std::uint16_t tracked = net.add_tracked_node({{2.0, 1.0}, 0.0});
+  const auto revoked = net.add_node({{2.0, 2.0}, 0.0}, 10e6);
+  const auto silent_b = net.add_node({{2.0, 3.0}, 0.0}, 10e6);
+  ASSERT_TRUE(silent_a && recent && never_noted && revoked && silent_b);
+  // Noted in descending id order: the result order must come from the ids.
+  net.note_activity(*silent_b, 0.0);
+  net.note_activity(*revoked, 0.0);
+  net.note_activity(tracked, 0.0);
+  net.note_activity(*recent, 0.5);
+  net.note_activity(*silent_a, 0.0);
+  ASSERT_TRUE(net.revoke_grant(*revoked));
+
+  // Silent for exactly the timeout counts as silent.
+  const std::vector<std::uint16_t> reaped = net.reap_inactive(1.0, 1.0);
+  EXPECT_EQ(reaped, (std::vector<std::uint16_t>{*silent_a, *silent_b}));
+  EXPECT_EQ(net.num_nodes(), 4u);
+  EXPECT_THROW(net.node_pose(*silent_a), std::out_of_range);
+  EXPECT_THROW(net.node_pose(*silent_b), std::out_of_range);
+  EXPECT_EQ(net.init().num_grants(), 2u);  // recent + never_noted
+  EXPECT_NO_THROW(net.grant(*recent));
+  EXPECT_NO_THROW(net.grant(*never_noted));
+  EXPECT_NO_THROW(net.node_pose(tracked));
+  EXPECT_NO_THROW(net.node_pose(*revoked));
+  EXPECT_TRUE(net.reap_inactive(1.0, 1.0).empty());
+  EXPECT_THROW(net.reap_inactive(1.0, 0.0), std::invalid_argument);
+}
+
+TEST(NetworkSim, NodeIdExhaustionThrowsInsteadOfWrapping) {
+  // Every registration consumes an id, removed or not. A wrapped id (0,
+  // then 1 again) would alias a live node's slot and its grant, so once
+  // all 65,535 nonzero ids are issued registration must fail loudly.
+  NetworkSimulator net = paper_testbed();
+  const channel::Pose pose{{1.0, 2.0}, 0.0};
+  for (std::uint32_t i = 1; i <= 65'535; ++i) {
+    const std::uint16_t id = net.add_tracked_node(pose);
+    ASSERT_EQ(id, i);
+    net.remove_node(id);
+  }
+  EXPECT_THROW(net.add_tracked_node(pose), std::length_error);
+  EXPECT_THROW(net.add_node(pose, 10e6), std::length_error);
+  EXPECT_EQ(net.num_nodes(), 0u);
+  EXPECT_EQ(net.init().num_grants(), 0u);
 }
 
 }  // namespace

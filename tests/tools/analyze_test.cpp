@@ -387,6 +387,10 @@ TEST(Determinism, FlagsUnorderedContainers) {
             1u);
   EXPECT_EQ(count_rule(run_rules("std::unordered_set<int> s;", "bench/a.cpp"), "determinism"),
             1u);
+  // The AP's per-node walks (shed, promote, retune) must run in id order.
+  EXPECT_EQ(count_rule(run_rules("std::unordered_map<std::uint16_t, Rec> m;", "src/mac/a.cpp"),
+                       "determinism"),
+            1u);
 }
 
 TEST(Determinism, FlagsPointerKeysAndAddressValues) {
@@ -401,11 +405,14 @@ TEST(Determinism, FlagsPointerKeysAndAddressValues) {
 
 TEST(Determinism, CleanConstructsAndScope) {
   EXPECT_EQ(count_rule(run_rules("std::map<int, int> m;", "src/sim/a.cpp"), "determinism"), 0u);
+  EXPECT_EQ(count_rule(run_rules("std::map<std::uint16_t, Rec> m;", "src/mac/a.cpp"),
+                       "determinism"),
+            0u);
   EXPECT_EQ(count_rule(run_rules("std::map<int, Node*> m;", "src/sim/a.cpp"), "determinism"),
             0u);  // pointer *values* are fine; only keys order output
   EXPECT_EQ(count_rule(run_rules("std::unordered_map<int, int> m;", "src/phy/a.cpp"),
                        "determinism"),
-            0u);  // outside src/sim + bench
+            0u);  // outside src/sim, src/mac and bench
 }
 
 // ---------------------------------------------------------------------------

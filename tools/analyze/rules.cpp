@@ -67,7 +67,11 @@ FileClass classify(const std::string& rel) {
       starts_with(rel, "src/dsp/") || starts_with(rel, "src/phy/") || starts_with(rel, "src/rf/");
   c.dsp_kernel_tu = starts_with(rel, "src/dsp/") && has_ext(rel, {".cpp", ".cc"});
   c.alloc_scope = c.in_src;
-  c.det_scope = starts_with(rel, "src/sim/") || starts_with(rel, "bench/");
+  // src/mac: shed_for, promote_demoted and retune_channel walk per-node
+  // state in id order, so a hashed container would make AP decisions
+  // depend on the hash.
+  c.det_scope = starts_with(rel, "src/sim/") || starts_with(rel, "src/mac/") ||
+                starts_with(rel, "bench/");
   c.mac_scope = starts_with(rel, "src/mac/");
   c.units_impl =
       rel == "src/common/include/mmx/common/units.hpp" || rel == "src/common/units.cpp";
@@ -583,7 +587,8 @@ const std::vector<RuleInfo>& rule_table() {
        "no heap allocation in *_into kernels or FftPlan/Nco/Goertzel*/FramePipeline/RoomPlan/"
        "PathList methods"},
       {"determinism",
-       "no unordered iteration, pointer keys or address-derived values in src/sim and bench/"},
+       "no unordered iteration, pointer keys or address-derived values in src/sim, src/mac and "
+       "bench/"},
       {"mac-rng",
        "src/mac draws no randomness of its own: Rng appears only as a caller-supplied Rng&"},
       {"suppression-reason", "every allow() suppression must carry a '-- <why>' reason"},
