@@ -12,11 +12,21 @@
 // compact() that slides every grant down-band — both deterministic, so
 // an AP replaying the same request sequence produces the same spectrum
 // map bit for bit.
+//
+// The occupied channels are kept permanently sorted in a gap index: two
+// treaps over one slot per channel, one by position (low edge) carrying
+// the subtree's widest gap, one by (gap width, position). First-fit,
+// best-fit and largest_gap_hz() are O(log n) descents, and every gap is
+// the same floating-point expression the historical sort-and-walk
+// computed, so the chosen channels match it bit for bit (pinned by the
+// allocator lockstep fuzz against tests/reference/).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace mmx::mac {
@@ -122,15 +132,80 @@ class FdmAllocator {
   double band_high_hz() const { return high_; }
   double guard_hz() const { return guard_; }
 
+  /// Inconsistencies between the gap index and a recomputation from
+  /// allocations() (order, low edges, every gap, the widest-gap
+  /// augmentation, the fit order, the top-of-band gap), plus channels
+  /// that leave the band or overlap a neighbour's guard. 0 when sound.
+  std::uint64_t audit() const;
+
  private:
-  /// Occupied intervals sorted by low edge.
-  std::vector<ChannelAllocation> sorted_used() const;
+  /// One occupied channel in the gap index. `gap` is the usable width of
+  /// the gap just below the channel: (low - guard) - cursor, where cursor
+  /// is the predecessor's high edge plus the guard, or the band's low
+  /// edge for the lowest channel.
+  struct Slot {
+    double low = 0.0;      ///< ChannelAllocation::low_hz(), the position key
+    double gap = 0.0;
+    double max_gap = 0.0;  ///< widest `gap` in this slot's position subtree
+    std::int32_t left = -1;  ///< position treap: (low, id)
+    std::int32_t right = -1;
+    std::int32_t fit_left = -1;  ///< fit treap: (gap, low, id)
+    std::int32_t fit_right = -1;
+    std::uint16_t id = 0;
+  };
+
+  // Treap operations, on the position treap (kFit = false) or the fit
+  // treap (kFit = true).
+  template <bool kFit>
+  std::int32_t& left_of(std::int32_t t);
+  template <bool kFit>
+  std::int32_t& right_of(std::int32_t t);
+  template <bool kFit>
+  bool before(std::int32_t a, std::int32_t b) const;
+  template <bool kFit>
+  std::pair<std::int32_t, std::int32_t> split(std::int32_t t, std::int32_t key);
+  template <bool kFit>
+  std::int32_t merge(std::int32_t a, std::int32_t b);
+  template <bool kFit>
+  std::int32_t insert(std::int32_t t, std::int32_t x);
+  template <bool kFit>
+  std::int32_t erase(std::int32_t t, std::int32_t x);
+  /// Recompute max_gap on the position path from `t` down to `x`.
+  void repull(std::int32_t t, std::int32_t x);
+  void pull(std::int32_t t);
+
+  /// Slot holding (low, id) in the position treap; -1 if none.
+  std::int32_t find_slot(double low, std::uint16_t id) const;
+  /// Neighbours of slot `x` by position (x itself need not be linked).
+  std::int32_t predecessor(std::int32_t x) const;
+  std::int32_t successor(std::int32_t x) const;
+  /// Highest channel's slot; -1 when the band is empty.
+  std::int32_t last_slot() const;
+  /// Where the gap above slot `t` starts (its high edge plus the guard);
+  /// the band's low edge for t = -1.
+  double cursor_after(std::int32_t t) const;
+  /// Re-key slot `x` (or the top-of-band gap for x = -1) to the gap that
+  /// now starts at `cursor`.
+  void set_gap_below(std::int32_t x, double cursor);
+  void index_insert(std::uint16_t node_id, const ChannelAllocation& ch);
+  void index_erase(std::uint16_t node_id, const ChannelAllocation& ch);
+  void rebuild_index();
+  /// Slots in position (kFit = false) or fit order.
+  template <bool kFit>
+  std::vector<std::int32_t> in_order() const;
 
   double low_;
   double high_;
   double guard_;
   AllocPolicy policy_;
   std::map<std::uint16_t, ChannelAllocation> by_node_;
+  std::deque<Slot> slots_;
+  std::vector<std::int32_t> free_slots_;
+  std::int32_t pos_root_ = -1;
+  std::int32_t fit_root_ = -1;
+  /// Usable gap between the highest channel and the band's top edge (no
+  /// guard there); the whole band when empty.
+  double top_gap_ = 0.0;
 };
 
 }  // namespace mmx::mac

@@ -274,6 +274,21 @@ TEST(FdmAllocator, BestFitPicksTightestGap) {
   EXPECT_NEAR(ch->low_hz(), 72.0, 1e-9);
 }
 
+TEST(FdmAllocator, BestFitTieGoesToTheLowerGap) {
+  FdmAllocator a(0.0, 100.0, 0.0, AllocPolicy::kBestFit);
+  ASSERT_TRUE(a.allocate(1, 40.0));  // [0,40]
+  ASSERT_TRUE(a.allocate(2, 20.0));  // [40,60]
+  ASSERT_TRUE(a.allocate(3, 20.0));  // [60,80]; tail [80,100] is 20
+  ASSERT_TRUE(a.allocate(4, 5.0));   // [80,85]; tail is 15
+  a.release(2);                      // hole [40,60] is 20
+  a.release(4);                      // tail is 20 again: a tie with the hole
+  const auto ch = a.allocate(5, 15.0);
+  ASSERT_TRUE(ch.has_value());
+  // Equally tight: the top-of-band gap loses to the lower one.
+  EXPECT_EQ(ch->low_hz(), 40.0);
+  EXPECT_EQ(a.audit(), 0u);
+}
+
 TEST(FdmAllocator, CompactSlidesDownBandAndCoalesces) {
   FdmAllocator a(0.0, 100.0, 2.0);
   ASSERT_TRUE(a.allocate(1, 10.0));

@@ -1,14 +1,17 @@
 // Lockstep differential fuzz for mac::InitProtocol (ctest label: overload).
 //
-// The library's InitProtocol keeps one record per grant holder and one
-// member list per SDM group; the oracle in tests/reference/ is the frozen
-// pre-refactor implementation with its parallel per-id maps. Both are
-// driven with the same random request/release/modify_rate/compact/
-// promote/drain sequence on a band narrow enough to fill, and after every
-// op they must agree on the reply, every grant, the allocator's map, the
-// overload stats and any drained re-tunes — bit for bit. Each lane also
-// asserts that the fuzz reached the admission paths it exists to cover,
-// so a generator that drifts into a corner cannot pass vacuously.
+// The library's InitProtocol keeps one record per grant holder, one
+// member list per SDM group and indexes over both (gap-indexed allocator,
+// cached solo slots, shared-channel set); the oracle in tests/reference/
+// is the frozen pre-refactor implementation with its parallel per-id maps,
+// running on the frozen pre-index allocator. Both are driven with the
+// same random request/release/modify_rate/compact/promote/drain sequence
+// on a band narrow enough to fill, and after every op they must agree on
+// the reply, every grant, the allocator's map, the overload stats and any
+// drained re-tunes — bit for bit — and the library's audit() must find
+// its indexes consistent (placement_checks.hpp). Each lane also asserts
+// that the fuzz reached the admission paths it exists to cover, so a
+// generator that drifts into a corner cannot pass vacuously.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +24,7 @@
 #include "init_protocol_ref.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/mac/init_protocol.hpp"
+#include "placement_checks.hpp"
 
 namespace mmx::mac {
 namespace {
@@ -32,6 +36,9 @@ struct Lane {
   double min_band_hz = 60e6;   ///< per-episode band width drawn in [min, max]
   double max_band_hz = 250e6;
   bool overload = false;
+  /// Bearing separation below twice the harmonic mismatch: an incumbent
+  /// and a newcomer can want the same slot.
+  bool tight_sdm = false;
   int episodes = 200;
   int ops_per_episode = 500;
   std::uint64_t seed = 0;
@@ -121,17 +128,22 @@ void run_lane(const Lane& lane, Coverage& cov) {
   for (int ep = 0; ep < lane.episodes; ++ep) {
     Rng rng = Rng::stream(lane.seed, static_cast<std::uint64_t>(ep));
     const double band_hz = rng.uniform(lane.min_band_hz, lane.max_band_hz);
-    const FdmAllocator alloc(lane.band_low_hz, lane.band_low_hz + band_hz, 1e6);
+    const double band_high_hz = lane.band_low_hz + band_hz;
     InitConfig cfg;
     refmac::InitConfig ref_cfg;
     cfg.sdm_capacity = ref_cfg.sdm_capacity = rng.uniform_int(2, 3);
+    if (lane.tight_sdm) {
+      cfg.min_bearing_separation_rad = ref_cfg.min_bearing_separation_rad = 0.1;
+      cfg.max_harmonic_mismatch_rad = ref_cfg.max_harmonic_mismatch_rad = 0.2;
+    }
     if (lane.overload) {
       cfg.overload.enabled = ref_cfg.overload.enabled = true;
       cfg.overload.min_rate_bps = ref_cfg.overload.min_rate_bps = rng.chance(0.2) ? 0.0 : 2.5e6;
       cfg.overload.shedding = ref_cfg.overload.shedding = rng.chance(0.8);
     }
-    InitProtocol lib(alloc, rf::Vco{}, cfg);
-    refmac::InitProtocol ref(alloc, rf::Vco{}, ref_cfg);
+    InitProtocol lib(FdmAllocator(lane.band_low_hz, band_high_hz, 1e6), rf::Vco{}, cfg);
+    refmac::InitProtocol ref(refmac::FdmAllocator(lane.band_low_hz, band_high_hz, 1e6), rf::Vco{},
+                             ref_cfg);
 
     for (int op = 0; op < lane.ops_per_episode; ++op) {
       const std::string where = "episode " + std::to_string(ep) + " op " + std::to_string(op);
@@ -178,6 +190,7 @@ void run_lane(const Lane& lane, Coverage& cov) {
       }
       ASSERT_EQ(lib.granted_rate_bps(id), ref.granted_rate_bps(id)) << where;
       ASSERT_TRUE(same_state(lib, ref)) << where;
+      ASSERT_EQ(lib.audit(), placement_violations(ref.allocator())) << where << ": audit";
 
       const refmac::OverloadStats& after = ref.overload_stats();
       cov.compaction += after.compactions > before.compactions && kind < 45 ? 1 : 0;
@@ -225,6 +238,17 @@ TEST(InitProtocolLockstep, BandBeyondVcoRangeMatchesReference) {
            cov);
   if (HasFatalFailure()) return;
   EXPECT_GT(cov.vco_deny, 0);
+}
+
+TEST(InitProtocolLockstep, TightSdmGeometryMatchesReference) {
+  // Bearings 0.1 rad apart may share and a slot serves 0.2 rad either
+  // side, so an incumbent's solo slot can be the newcomer's best one and
+  // the newcomer must take its second-best slot.
+  Coverage cov;
+  run_lane(Lane{.tight_sdm = true, .episodes = 100, .seed = 0x7165}, cov);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(cov.sdm_join, 0);
+  EXPECT_GT(cov.sdm_convert, 0);
 }
 
 }  // namespace

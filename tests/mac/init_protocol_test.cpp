@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <variant>
+#include <vector>
 
 #include "mmx/common/units.hpp"
 
@@ -363,6 +366,92 @@ TEST(InitProtocolOverload, SheddingReclaimsFromLowerPriorityThenPromotes) {
   EXPECT_FALSE(promoted.empty());
   EXPECT_GE(p.overload_stats().promotions, 1u);
   EXPECT_EQ(p.overload_stats().invariant_violations, 0u);
+}
+
+TEST(InitProtocolOverload, ModifyRateReinstateStaysInVcoRange) {
+  // A fuzz-found sequence, minimised. The band's top lies above the node
+  // VCO's 24.25 GHz ceiling. The final modify_rate cannot grant node 2's
+  // new demand, overload compaction on the way consumes its old spot, and
+  // the old width now fits only above the ceiling. Reinstating there used
+  // to throw out of make_grant and leave an allocator entry without a
+  // record (the next request from node 2 then threw too); it must deny.
+  enum Kind { kHandle, kRelease, kModify, kCompact, kPromote };
+  struct Op {
+    Kind kind;
+    std::uint16_t id = 0;
+    double rate_bps = 0.0;
+    double bearing_rad = 0.0;
+    std::uint8_t priority = 1;
+  };
+  const std::vector<Op> ops = {
+      {kHandle, 9, 21812711.83920031, -0.15499073105917405, 1},
+      {kHandle, 36, 18547455.026114438, -0.10060192941119417, 0},
+      {kHandle, 34, 19546164.706269622, 0.92850817009295472, 0},
+      {kHandle, 31, 12631497.602433341, -0.74938338022227691, 1},
+      {kHandle, 38, 33066514.456143688, -0.081010473084685009, 1},
+      {kHandle, 23, 38191906.731569506, 0.39894223178069876, 1},
+      {kHandle, 30, 36320030.077270359, 0.86542025848211623, 3},
+      {kHandle, 17, 13958935.876743734, -0.11262943298897299, 2},
+      {kHandle, 28, 21277685.8388987, 0.97951116963307672, 0},
+      {kHandle, 37, 20109078.741313729, 0.93744456442418356, 2},
+      {kHandle, 8, 36546168.501585864, 0.016367685371265983, 0},
+      {kHandle, 7, 30907164.53500462, 0.87341029460765141, 1},
+      {kRelease, 9},
+      {kHandle, 6, 39629843.226924747, -0.54472586204864437, 2},
+      {kHandle, 25, 23218829.068353821, 0.34824169058736265, 2},
+      {kHandle, 24, 27352926.457174852, 0.38575140645406125, 2},
+      {kModify, 17, 36414665.700485095},
+      {kHandle, 20, 8592525.9495174047, -0.63011925479421804, 2},
+      {kPromote},
+      {kCompact},
+      {kHandle, 13, 13061468.117654409, -0.66462165623488612, 3},
+      {kHandle, 33, 35900112.250616878, -0.39734512257095767, 3},
+      {kRelease, 36},
+      {kRelease, 8},
+      {kHandle, 8, 15600923.950693984, 0.8162360895205707, 1},
+      {kRelease, 6},
+      {kRelease, 37},
+      {kPromote},
+      {kCompact},
+      {kRelease, 17},
+      {kRelease, 28},
+      {kHandle, 2, 19635583.624989577, 0.40897590694615094, 1},
+      {kRelease, 38},
+      {kPromote},
+      {kHandle, 18, 21339132.033314262, 0.73439027341029783, 0},
+      {kHandle, 6, 36163311.087987781, -0.093010944663675987, 1},
+      {kRelease, 34},
+      {kPromote},
+      {kHandle, 22, 8195912.6466542576, -0.85649135039860669, 2},
+      {kHandle, 38, 6890489.7411668682, -0.011608966949553157, 3},
+      {kHandle, 17, 11940485.774473894, 0.12995895672414082, 2},
+      {kHandle, 10, 1073273.2658320055, -0.15857127717390851, 3},
+      {kHandle, 26, 9637821.3945979495, 0.50947208806037048, 2},
+      {kHandle, 11, 26099990.047321025, -0.91173793378666268, 3},
+  };
+  InitConfig cfg;
+  cfg.overload.enabled = true;
+  cfg.overload.shedding = true;
+  cfg.overload.min_rate_bps = 2179848.7878763005;
+  const double low = 24134350037.478756;
+  InitProtocol p(FdmAllocator(low, low + 116614936.9955142, 1e6), rf::Vco{}, cfg);
+  for (const Op& op : ops) {
+    switch (op.kind) {
+      case kHandle: p.handle({op.id, op.rate_bps, op.bearing_rad, op.priority}); break;
+      case kRelease: p.release(op.id); break;
+      case kModify: p.modify_rate(op.id, op.rate_bps); break;
+      case kCompact: p.compact_spectrum(); break;
+      case kPromote: p.promote_demoted(); break;
+    }
+  }
+  ASSERT_NE(p.grant(2), nullptr);
+  SideChannelMessage reply;
+  ASSERT_NO_THROW(reply = p.modify_rate(2, 29134475.283731636));
+  EXPECT_TRUE(std::holds_alternative<ChannelDeny>(reply));
+  // Spectrum gone entirely: node 2 holds nothing and may rejoin.
+  EXPECT_EQ(p.grant(2), nullptr);
+  EXPECT_FALSE(p.allocator().lookup(2).has_value());
+  EXPECT_NO_THROW(p.handle({2, 1e6, 0.0, 1}));
 }
 
 TEST(RejoinBackoff, NoJitterFollowsCappedDoubling) {

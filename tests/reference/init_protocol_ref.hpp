@@ -5,9 +5,11 @@
 // from the namespace, the dropped sdm.hpp include and the omitted
 // RejoinBackoff (unchanged in the library), so the lockstep fuzz in
 // tests/mac/init_protocol_lockstep_test.cpp can demand that the library
-// makes bit-identical admission decisions. It runs on the library's
-// FdmAllocator, ChannelGrant and SideChannel, which the refactor left
-// untouched. Do not edit: a change here weakens the oracle.
+// makes bit-identical admission decisions. It runs on the frozen
+// refmac::FdmAllocator (fdm_allocator_ref.hpp) and on the library's
+// ChannelGrant and SideChannel value types, so the fuzz compares against
+// pre-index code end to end. Do not edit: a change here weakens the
+// oracle.
 //
 // The mmX initialization protocol (paper §4, §7).
 //
@@ -35,19 +37,15 @@
 #include <optional>
 #include <vector>
 
-#include "mmx/mac/allocator.hpp"
+#include "fdm_allocator_ref.hpp"
 #include "mmx/mac/side_channel.hpp"
 #include "mmx/rf/vco.hpp"
 
 namespace mmx::refmac {
 
-using mac::AllocPolicy;
-using mac::ChannelAllocation;
 using mac::ChannelDeny;
 using mac::ChannelGrant;
 using mac::ChannelRequest;
-using mac::FdmAllocator;
-using mac::RetuneEvent;
 using mac::SideChannel;
 using mac::SideChannelMessage;
 using mac::required_bandwidth_hz;

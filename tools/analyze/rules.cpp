@@ -67,7 +67,7 @@ FileClass classify(const std::string& rel) {
       starts_with(rel, "src/dsp/") || starts_with(rel, "src/phy/") || starts_with(rel, "src/rf/");
   c.dsp_kernel_tu = starts_with(rel, "src/dsp/") && has_ext(rel, {".cpp", ".cc"});
   c.alloc_scope = c.in_src;
-  // src/mac: shed_for, promote_demoted and retune_channel walk per-node
+  // src/mac: shed_for, promote_demoted and retune_moved walk per-node
   // state in id order, so a hashed container would make AP decisions
   // depend on the hash.
   c.det_scope = starts_with(rel, "src/sim/") || starts_with(rel, "src/mac/") ||
