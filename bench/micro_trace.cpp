@@ -1,11 +1,13 @@
-// Micro-benchmarks of the geometry fast path (channel::RoomPlan) against
-// the reference RayTracer, on the shared sweep harness.
+// Micro-benchmarks of the library's trace kernel (channel::RoomPlan)
+// against the frozen naive tracer (reftrace::RayTracer,
+// tests/reference/ray_tracer_ref.*), on the shared sweep harness.
 //
 // Two kernel sets are selectable with --kernels:
 //   fast  the production path: compiled RoomPlan, tabulated AP images,
 //         batched trace_batch_into, caller-owned PathList workspace
-//   ref   RayTracer::trace — the frozen bit-exact reference (allocating
-//         one vector per call, deriving every image inline)
+//   ref   reftrace::RayTracer::trace — the frozen bit-exact reference
+//         (allocating one vector per call, deriving every image inline,
+//         scanning every blocker per segment)
 //
 // Every trial folds the traced paths into a checksum, so the work cannot
 // be optimized away AND ref/fast runs are bitwise-comparable: the default
@@ -33,9 +35,9 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "mmx/channel/ray_tracer.hpp"
 #include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
+#include "ray_tracer_ref.hpp"
 
 using namespace mmx;
 
@@ -67,7 +69,7 @@ double path_checksum(const channel::Path& p) {
 // the amortization the production refill enjoys.
 struct Fixture {
   channel::Room room;
-  channel::RayTracer tracer;
+  reftrace::RayTracer tracer;
   channel::RoomPlan plan;
   channel::ImageTable ap_images;
 

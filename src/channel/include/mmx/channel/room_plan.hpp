@@ -1,10 +1,11 @@
-// Geometry acceleration engine: a compiled, epoch-keyed room plan.
+// Geometry engine: a compiled, epoch-keyed room plan — the one
+// image-method tracer in the library (RayTracer is its call-site facade).
 //
-// RayTracer::trace re-derives every wall image, scans every blocker per
-// segment, and heap-allocates its result vector on each call — fine for
-// one link, ruinous for the 10^4-node cache refills the scale lane runs
-// (docs/SCALING.md). A RoomPlan compiles a Room snapshot once per
-// Room::epoch() into flat, cache-friendly tables:
+// Tracing a room naively re-derives every wall image, scans every
+// blocker per segment, and heap-allocates its result vector on each
+// call — fine for one link, ruinous for the 10^4-node cache refills the
+// scale lane runs (docs/SCALING.md). A RoomPlan compiles a Room snapshot
+// once per Room::epoch() into flat, cache-friendly tables:
 //
 //   - per-wall precomputed segments (direction/length cached) so the
 //     image-method mirror/intersect steps apply stored transforms,
@@ -17,26 +18,40 @@
 //     and per-wall-pair images are hoisted into an ImageTable once per
 //     batch instead of once per node.
 //
-// Every path it produces is bit-identical to RayTracer::trace — same
-// paths, same order, same doubles (tests/channel/room_plan_test.cpp) —
-// so the sim layer's cached==uncached and thread-invariance guarantees
-// carry over unchanged. See docs/GEOMETRY.md for the contract and the
-// broad-phase conservativeness argument.
+// One kernel does all tracing; it is templated on which path sets it
+// emits (blockers applied, blocker-free, or both from one geometric
+// pass), and trace_into / trace_batch_into / trace_batch_dual_into are
+// thin wrappers over it. Every path it produces is bit-identical to the
+// naive reference tracer frozen in tests/reference/ray_tracer_ref.* —
+// same paths, same order, same doubles (tests/channel/room_plan_test.cpp,
+// and end to end through the link cache in
+// tests/sim/link_cache_test.cpp). See docs/GEOMETRY.md for the contract
+// and the broad-phase conservativeness argument.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "mmx/channel/ray_tracer.hpp"
+#include "mmx/channel/path.hpp"
 #include "mmx/channel/room.hpp"
 
 namespace mmx::channel {
 
-class RoomPlan;
+/// Per-wall and per-wall-pair images of one fixed endpoint, hoisted out
+/// of the per-node loop by trace_batch_into. Built by
+/// RoomPlan::build_images; valid only for the (plan epoch, rx, bounces)
+/// it was built for — the batch trace verifies all three.
+struct ImageTable {
+  Vec2 rx{};
+  std::uint64_t room_epoch = ~0ull;
+  int max_bounces = 0;
+  std::vector<Vec2> wall_image;  ///< mirror_w(rx), one per wall
+  std::vector<Vec2> pair_image;  ///< mirror_wi(mirror_wj(rx)), index wi * walls + wj
+};
 
 /// Caller-owned trace workspace: grown-once path storage plus the
-/// broad-phase scratch (candidate list, stamp array, image buffers).
+/// broad-phase scratch (candidate list, stamp array, image table).
 /// Reuse one PathList across traces — after the first few calls every
 /// trace_into/trace_batch_into is allocation-free. Appended paths stay
 /// valid until clear(); batch traces index them through the offsets
@@ -65,7 +80,7 @@ class PathList {
   /// store before any trace loop runs).
   Path& commit() { return storage_[count_++]; }
   void ensure_paths(std::size_t n);
-  void ensure_scratch(std::size_t images, std::size_t pair_images, std::size_t blockers);
+  void ensure_scratch(std::size_t blockers);
   void ensure_dual(std::size_t n);
   std::uint32_t next_query();
 
@@ -74,26 +89,13 @@ class PathList {
   /// Dual-trace staging: blocker-free paths buffered here during the
   /// fused pass, then appended after the batch's blockers-applied block.
   std::vector<Path> dual_buf_;
-  /// Single-trace image scratch (batch traces read a caller ImageTable).
-  std::vector<Vec2> wall_image_;
-  std::vector<Vec2> pair_image_;
+  /// Single-trace image table (batch traces read the caller's).
+  ImageTable images_;
   /// Broad-phase scratch: grid-gathered candidate blocker indices, and a
   /// per-blocker stamp (== query_) deduplicating multi-cell hits.
   std::vector<std::uint32_t> cand_;
   std::vector<std::uint32_t> stamp_;
   std::uint32_t query_ = 0;
-};
-
-/// Per-wall and per-wall-pair images of one fixed endpoint, hoisted out
-/// of the per-node loop by trace_batch_into. Built by
-/// RoomPlan::build_images; valid only for the (plan epoch, rx, bounces)
-/// it was built for — the batch trace verifies all three.
-struct ImageTable {
-  Vec2 rx{};
-  std::uint64_t room_epoch = ~0ull;
-  int max_bounces = 0;
-  std::vector<Vec2> wall_image;  ///< mirror_w(rx), one per wall
-  std::vector<Vec2> pair_image;  ///< mirror_wi(mirror_wj(rx)), index wi * walls + wj
 };
 
 struct RoomPlanConfig {
@@ -137,7 +139,7 @@ class RoomPlan {
   /// images of `rx` into `out` for trace_batch_into.
   void build_images(Vec2 rx, int max_bounces, ImageTable& out) const;
 
-  /// Bit-identical replacement for RayTracer::trace(tx, rx, ...):
+  /// All propagation paths tx -> rx (RayTracer::trace's contract):
   /// appends the path set to `out` and returns the appended window.
   std::span<const Path> trace_into(Vec2 tx, Vec2 rx, PathList& out,
                                    double max_excess_loss_db = 60.0, int max_bounces = 1,
@@ -148,8 +150,8 @@ class RoomPlan {
   /// `images` (build_images(ap, ...)) across the whole batch. Fills
   /// `offsets` (size nodes.size() + 1) so node i's paths are
   /// out.slice(offsets[i], offsets[i+1]); returns the full appended
-  /// window. Mirrors are pure functions, so table lookups produce the
-  /// same bits as trace_into's inline image computation.
+  /// window. Mirrors are pure functions, so the shared table yields the
+  /// same bits as the table trace_into builds per call.
   std::span<const Path> trace_batch_into(Vec2 ap, std::span<const Vec2> nodes,
                                          const ImageTable& images, PathList& out,
                                          std::span<std::uint32_t> offsets,
@@ -162,9 +164,8 @@ class RoomPlan {
   /// transmission terms are shared, only the two loss accumulations
   /// differ, and each runs in the reference order, so both result sets
   /// are bit-identical to separate trace_batch_into calls with
-  /// apply_blockers true / false. This is the cache-refill kernel: a
-  /// refresh needs exactly these two sets per node, and the corridor
-  /// pass was previously a full second traversal (docs/GEOMETRY.md).
+  /// apply_blockers true / false. This is the cache-fill call: a fill
+  /// needs exactly these two sets per node (docs/GEOMETRY.md).
   /// Node i's windows: out.slice(offsets_on[i], offsets_on[i+1]) with
   /// blockers, out.slice(offsets_off[i], offsets_off[i+1]) without (the
   /// off windows follow every on window in storage). Both offset spans
@@ -184,12 +185,24 @@ class RoomPlan {
     bool blocks_transmission = false;
   };
 
-  void trace_one(Vec2 tx, Vec2 rx, const Vec2* wall_images, const Vec2* pair_images,
-                 PathList& out, double max_excess_loss_db, int max_bounces,
-                 bool apply_blockers) const;
-  void trace_dual_one(Vec2 tx, Vec2 rx, const Vec2* wall_images, const Vec2* pair_images,
-                      PathList& out, std::size_t& off_count, double max_excess_loss_db,
-                      int max_bounces) const;
+  /// Which path sets one kernel pass emits.
+  enum class Emit { kBlocked, kFree, kBoth };
+
+  /// The trace kernel: every path tx -> rx, imaging rx through `images`.
+  /// kBlocked / kFree commit into `out`; kBoth commits the blocked set
+  /// and stages the blocker-free set in out.dual_buf_[off_count++].
+  template <Emit E>
+  void trace_kernel(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& out,
+                    std::size_t& off_count, double max_excess_loss_db, int max_bounces) const;
+  /// Batch loop behind trace_batch_into / trace_batch_dual_into
+  /// (`offsets_off` is read only for kBoth).
+  template <Emit E>
+  std::span<const Path> trace_batch(Vec2 ap, std::span<const Vec2> nodes,
+                                    const ImageTable& images, PathList& out,
+                                    std::span<std::uint32_t> offsets,
+                                    std::span<std::uint32_t> offsets_off,
+                                    double max_excess_loss_db, int max_bounces) const;
+  void check_trace_args(int max_bounces) const;
   double blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_scale,
                          PathList& ws) const;
   double transmission_loss_db(Vec2 a, Vec2 b, WallSkip skip) const;

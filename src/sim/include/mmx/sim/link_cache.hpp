@@ -13,7 +13,7 @@
 //   - A blocker add/move/clear invalidates exactly the entries whose
 //     wall-only path corridors the old or new disc touches. Blockers
 //     attenuate paths but never create or bend them, so the blocker-free
-//     corridor set (RayTracer::trace with apply_blockers = false) is a
+//     corridor set (a trace with apply_blockers = false) is a
 //     sound superset of every path a blocker configuration can influence:
 //     a disc that misses all corridors provably leaves the node's gains
 //     bit-identical, and the entry is revalidated for free. Invalidated
@@ -28,7 +28,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -89,12 +88,13 @@ class LinkCache {
   void reconcile(const channel::Room& room);
 
   /// Valid entry for (id, pose) or a freshly filled one: `fill` runs only
-  /// on a miss (absent, stale, or computed at another pose) and receives
-  /// the prior same-pose entry (or nullptr) so it can reuse the still-
-  /// valid corridors of a stale entry. Counts one hit or one miss. Call
-  /// reconcile() first.
-  Entry& ensure(std::uint16_t id, const channel::Pose& pose,
-                const std::function<Entry(const Entry* prior)>& fill);
+  /// on a miss (absent, stale, or computed at another pose) and may
+  /// read the still-stored entry through find() to reuse the still-valid
+  /// corridors of a stale same-pose entry. Counts one hit or one miss.
+  /// Call reconcile() first. A template, so the hit path (the
+  /// simulator's link()/gains() hot path) builds no std::function.
+  template <typename Fill>
+  Entry& ensure(std::uint16_t id, const channel::Pose& pose, Fill&& fill);
 
   /// True if a lookup for (id, pose) would hit. No stats side effects —
   /// this is the batched-refresh probe.
@@ -114,16 +114,9 @@ class LinkCache {
   const LinkCacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// Wall-only path corridors node -> AP. `max_excess_loss_db` and
-  /// `max_bounces` must match the values the gains computation traces
-  /// with, so the corridor set stays a superset of the real path set.
-  static std::vector<Corridor> corridors_for(const channel::Room& room, Vec2 node_position,
-                                             Vec2 ap_position, double max_excess_loss_db,
-                                             int max_bounces);
-
-  /// Corridors from an already-traced wall-only path set (the RoomPlan
-  /// batch path: trace with apply_blockers = false, then convert each
-  /// node's path window). corridors_for delegates here after tracing.
+  /// Corridors node -> AP from an already-traced wall-only path set
+  /// (apply_blockers = false, traced with the same max excess loss and
+  /// bounce count as the gains, so it stays a superset of their paths).
   static std::vector<Corridor> corridors_from_paths(std::span<const channel::Path> paths,
                                                     Vec2 node_position, Vec2 ap_position);
 
@@ -152,5 +145,21 @@ class LinkCache {
   std::vector<channel::Blocker> seen_blockers_;
   LinkCacheStats stats_;
 };
+
+template <typename Fill>
+LinkCache::Entry& LinkCache::ensure(std::uint16_t id, const channel::Pose& pose, Fill&& fill) {
+  if (id >= slots_.size()) slots_.resize(id + 1);
+  Slot& slot = slots_[id];
+  if (slot.present && !slot.entry.stale && slot.entry.pose == pose) {
+    ++stats_.hits;
+    return slot.entry;
+  }
+  ++stats_.misses;
+  if (slot.present && !slot.entry.stale) ++stats_.invalidated;  // pose moved under a live entry
+  slot.entry = fill();
+  if (!slot.present) ++live_;
+  slot.present = true;
+  return slot.entry;
+}
 
 }  // namespace mmx::sim

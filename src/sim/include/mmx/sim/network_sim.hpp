@@ -8,7 +8,7 @@
 // (node pose, Room::epoch()) — bit-identical to re-tracing, but repeated
 // gains()/link() queries against unchanged geometry cost a map lookup
 // instead of a ray trace (docs/SCALING.md). Set SimConfig::link_cache
-// false (or call the *_uncached accessors) to force fresh traces.
+// false (or call link_uncached) to force fresh traces.
 #pragma once
 
 #include <map>
@@ -133,13 +133,12 @@ class NetworkSimulator {
   /// Per-beam channel gains for a node (memoized; see class comment).
   channel::BeamGains gains(std::uint16_t id) const;
 
-  /// Always re-traces, bypassing the cache (cross-check path).
-  channel::BeamGains gains_uncached(std::uint16_t id) const;
-
   /// OTAM link metrics (paper's "with OTAM" scenario). Memoized.
   OtamLink link(std::uint16_t id) const;
 
-  /// Always re-evaluates from a fresh trace, bypassing the cache.
+  /// Always re-evaluates from a fresh trace, bypassing the cache: a
+  /// no-reuse ablation that compiles its own RayTracer per call and
+  /// never reads the simulator's shared plan.
   OtamLink link_uncached(std::uint16_t id) const;
 
   /// Fixed-beam ASK baseline ("without OTAM", §9.2 scenario 1). Memoized.
@@ -193,11 +192,11 @@ class NetworkSimulator {
 
   /// Compiled trace state shared by every cached evaluation: the RoomPlan
   /// (walls + blocker grid) plus the AP-endpoint ImageTable, both rebuilt
-  /// lazily when Room::epoch() moves. Cache fills trace through the plan
-  /// (bit-identical to the reference tracer); the *_uncached cross-check
-  /// paths keep re-tracing with RayTracer, so the existing
-  /// cached==uncached tests double as an end-to-end plan-vs-reference
-  /// equivalence check (docs/GEOMETRY.md).
+  /// lazily when Room::epoch() moves. Every cache fill, a single miss or
+  /// a batched refresh, traces through it via refill_block. The uncached
+  /// paths build their own RayTracer per call instead, so they never
+  /// share this state; tests/sim/link_cache_test.cpp checks cached gains
+  /// against the frozen reference tracer (docs/GEOMETRY.md).
   struct TraceContext {
     channel::RoomPlan plan;
     channel::ImageTable ap_images;
@@ -217,11 +216,10 @@ class NetworkSimulator {
   /// during a parallel refresh — refresh_cache primes it serially and
   /// hands workers the const reference.
   const TraceContext& trace_context() const;
-  LinkCache::Entry make_entry(const channel::Pose& pose,
-                              const LinkCache::Entry* prior) const;
-  /// Batched refill of one job block: one trace_batch_into for the gains
-  /// (blockers applied) and one for the corridors of jobs that cannot
-  /// reuse a stale prior's, amortizing the AP image table per block.
+  /// Fill of one job block (a single cache miss is a block of one): one
+  /// fused dual trace for the jobs that need corridors and one gains
+  /// trace for jobs whose stale same-pose entry keeps its corridors,
+  /// sharing the AP image table across the block.
   std::vector<LinkCache::Entry> refill_block(const TraceContext& ctx,
                                              std::span<const RefillJob> jobs) const;
   LinkCache::Entry& cache_entry(std::uint16_t id, const NodeState& n) const;

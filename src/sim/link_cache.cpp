@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mmx/channel/ray_tracer.hpp"
 #include "mmx/obs/obs.hpp"
 
 namespace mmx::sim {
@@ -91,30 +90,6 @@ void LinkCache::reconcile(const channel::Room& room) {
   snapshot(room);
 }
 
-LinkCache::Entry& LinkCache::ensure(std::uint16_t id, const channel::Pose& pose,
-                                    const std::function<Entry(const Entry*)>& fill) {
-  if (id >= slots_.size()) slots_.resize(id + 1);
-  Slot& slot = slots_[id];
-  if (slot.present && !slot.entry.stale && slot.entry.pose == pose) {
-    ++stats_.hits;
-    return slot.entry;
-  }
-  ++stats_.misses;
-  const Entry* prior = nullptr;
-  if (slot.present) {
-    if (slot.entry.pose == pose) {
-      prior = &slot.entry;  // stale same-pose entry: corridors reusable
-    } else if (!slot.entry.stale) {
-      ++stats_.invalidated;  // pose moved under a live entry
-    }
-  }
-  Entry filled = fill(prior);
-  slot.entry = std::move(filled);
-  if (!slot.present) ++live_;
-  slot.present = true;
-  return slot.entry;
-}
-
 bool LinkCache::valid(std::uint16_t id, const channel::Pose& pose) const {
   return id < slots_.size() && slots_[id].present && !slots_[id].entry.stale &&
          slots_[id].entry.pose == pose;
@@ -145,16 +120,6 @@ void LinkCache::clear() {
   stats_.invalidated += live_;
   slots_.clear();
   live_ = 0;
-}
-
-std::vector<LinkCache::Corridor> LinkCache::corridors_for(const channel::Room& room,
-                                                          Vec2 node_position, Vec2 ap_position,
-                                                          double max_excess_loss_db,
-                                                          int max_bounces) {
-  const channel::RayTracer tracer(room);
-  const auto paths = tracer.trace(node_position, ap_position, max_excess_loss_db, max_bounces,
-                                  /*apply_blockers=*/false);
-  return corridors_from_paths(paths, node_position, ap_position);
 }
 
 std::vector<LinkCache::Corridor> LinkCache::corridors_from_paths(

@@ -13,8 +13,9 @@
 namespace mmx::sim {
 
 namespace {
-// Trace parameters behind gains(); corridors_for must use the same ones
-// so the cache's corridor set stays a superset of the real path set.
+// Trace parameters behind gains(). The corridor (blocker-free) trace uses
+// the same ones, so the cache's corridor set stays a superset of the real
+// path set.
 constexpr double kTraceMaxExcessLossDb = 60.0;
 constexpr int kTraceMaxBounces = 1;
 
@@ -167,32 +168,6 @@ const NetworkSimulator::TraceContext& NetworkSimulator::trace_context() const {
   return ctx_;
 }
 
-LinkCache::Entry NetworkSimulator::make_entry(const channel::Pose& pose,
-                                              const LinkCache::Entry* prior) const {
-  const TraceContext& ctx = trace_context();
-  channel::PathList& ws = tls_path_list();
-  ws.clear();
-  LinkCache::Entry e;
-  e.pose = pose;
-  const auto paths = ctx.plan.trace_into(pose.position, ap_pose_.position, ws,
-                                         kTraceMaxExcessLossDb, kTraceMaxBounces,
-                                         /*apply_blockers=*/true);
-  // Consume the span before the next trace can grow the workspace.
-  e.gains =
-      channel::beam_gains_from_paths(paths, pose, beams_, ap_pose_, ap_antenna_, cfg_.freq_hz);
-  // A stale same-pose entry keeps valid corridors (walls and pose decide
-  // them, and both are unchanged) — reuse instead of re-tracing.
-  if (prior != nullptr && prior->pose == pose) {
-    e.corridors = prior->corridors;
-  } else {
-    const auto wall_only = ctx.plan.trace_into(pose.position, ap_pose_.position, ws,
-                                               kTraceMaxExcessLossDb, kTraceMaxBounces,
-                                               /*apply_blockers=*/false);
-    e.corridors = LinkCache::corridors_from_paths(wall_only, pose.position, ap_pose_.position);
-  }
-  return e;
-}
-
 std::vector<LinkCache::Entry> NetworkSimulator::refill_block(
     const TraceContext& ctx, std::span<const RefillJob> jobs) const {
   channel::PathList& ws = tls_path_list();
@@ -260,18 +235,16 @@ std::vector<LinkCache::Entry> NetworkSimulator::refill_block(
 
 LinkCache::Entry& NetworkSimulator::cache_entry(std::uint16_t id, const NodeState& n) const {
   cache_.reconcile(room_);
-  return cache_.ensure(
-      id, n.pose, [&](const LinkCache::Entry* prior) { return make_entry(n.pose, prior); });
+  return cache_.ensure(id, n.pose, [&] {
+    const RefillJob job{id, n.pose};
+    return std::move(refill_block(trace_context(), {&job, 1}).front());
+  });
 }
 
 channel::BeamGains NetworkSimulator::gains(std::uint16_t id) const {
   const NodeState& n = node(id);
   if (!cfg_.link_cache) return compute_gains(n.pose);
   return cache_entry(id, n).gains;
-}
-
-channel::BeamGains NetworkSimulator::gains_uncached(std::uint16_t id) const {
-  return compute_gains(node(id).pose);
 }
 
 OtamLink NetworkSimulator::link(std::uint16_t id) const {
@@ -286,7 +259,7 @@ OtamLink NetworkSimulator::link(std::uint16_t id) const {
 }
 
 OtamLink NetworkSimulator::link_uncached(std::uint16_t id) const {
-  return budget_.evaluate_otam(gains_uncached(id), spdt_);
+  return budget_.evaluate_otam(compute_gains(node(id).pose), spdt_);
 }
 
 OtamLink NetworkSimulator::fixed_beam_link(std::uint16_t id) const {

@@ -163,6 +163,25 @@ TEST(RayTracer, CoincidentEndpointsThrow) {
   EXPECT_THROW(rt.trace({1.0, 1.0}, {1.0, 1.0}), std::invalid_argument);
 }
 
+// The tracer compiles its room once; a trace after any mutation must fail
+// loudly instead of returning the pre-mutation paths.
+TEST(RayTracer, TraceAfterRoomMutationThrows) {
+  Room room = paper_room();
+  const RayTracer before(room);
+  EXPECT_NO_THROW(before.trace({1.0, 2.0}, {5.0, 2.0}));
+  const std::size_t blk = room.add_blocker(human_blocker({3.0, 2.0}));
+  EXPECT_THROW(before.trace({1.0, 2.0}, {5.0, 2.0}), std::logic_error);
+
+  // A tracer built after the mutation sees it (the LoS is now blocked).
+  const RayTracer after(room);
+  EXPECT_EQ(find_los(after.trace({1.0, 2.0}, {5.0, 2.0}))->blocker_crossings, 1);
+  room.move_blocker(blk, {3.0, 3.0});
+  EXPECT_THROW(after.trace({1.0, 2.0}, {5.0, 2.0}), std::logic_error);
+  const RayTracer moved(room);
+  room.add_reflector({{2.0, 0.5}, {4.0, 0.5}}, metal());
+  EXPECT_THROW(moved.trace({1.0, 2.0}, {5.0, 2.0}), std::logic_error);
+}
+
 TEST(RayTracer, PathAmplitudeDecaysWithLength) {
   Path a;
   a.length_m = 2.0;

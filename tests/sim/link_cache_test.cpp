@@ -5,9 +5,13 @@
 
 #include <stdexcept>
 
+#include "mmx/antenna/element.hpp"
+#include "mmx/antenna/mmx_beams.hpp"
+#include "mmx/channel/beam_channel.hpp"
 #include "mmx/channel/room.hpp"
 #include "mmx/sim/link_cache.hpp"
 #include "mmx/sim/network_sim.hpp"
+#include "ray_tracer_ref.hpp"
 
 namespace mmx::sim {
 namespace {
@@ -83,6 +87,73 @@ TEST(LinkCache, CachedLinkBitIdenticalToUncachedAcrossBlockerChurn) {
   f.sim.room().clear_blockers();
   expect_links_equal(f.sim.link(f.a), f.sim.link_uncached(f.a));
   expect_links_equal(f.sim.link(f.b), f.sim.link_uncached(f.b));
+}
+
+// Gains recomputed from scratch by the frozen naive tracer
+// (tests/reference/ray_tracer_ref.*) at the simulator's pinned trace
+// config (1 bounce, 60 dB; network_sim.cpp) and its default antennas.
+channel::BeamGains reference_gains(const NetworkSimulator& sim, std::uint16_t id) {
+  const SimConfig cfg;
+  const antenna::MmxBeamPair beams(antenna::BeamPairSpec{.freq_hz = cfg.freq_hz});
+  const antenna::Dipole ap_antenna;
+  const reftrace::RayTracer tracer(sim.room());
+  const channel::Pose& pose = sim.node_pose(id);
+  const auto paths = tracer.trace(pose.position, sim.ap_pose().position, 60.0, 1, true);
+  return channel::beam_gains_from_paths(paths, pose, beams, sim.ap_pose(), ap_antenna,
+                                        cfg.freq_hz);
+}
+
+void expect_gains_equal(const channel::BeamGains& x, const channel::BeamGains& y) {
+  EXPECT_EQ(x.h0, y.h0);
+  EXPECT_EQ(x.h1, y.h1);
+  EXPECT_EQ(x.paths_used, y.paths_used);
+}
+
+// Cached and uncached gains both trace through RoomPlan, so their
+// agreement alone no longer proves the plan right: every cache fill —
+// single misses in one simulator, batched refreshes in the other — is
+// checked bit for bit against the naive reference tracer after each
+// mutation the cache must handle.
+TEST(LinkCache, CachedGainsBitIdenticalToReferenceTracer) {
+  Fixture miss;
+  Fixture batch;
+  std::vector<std::uint16_t> ids{miss.a, miss.b};
+  for (int i = 0; i < 10; ++i) {
+    const channel::Pose pose{{0.5 + 0.9 * i, 0.4 + 0.5 * i}, 0.3 * i - 1.5};
+    const std::uint16_t id = miss.sim.add_tracked_node(pose);
+    EXPECT_EQ(batch.sim.add_tracked_node(pose), id);
+    ids.push_back(id);
+  }
+  const auto check = [&](const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_GT(batch.sim.refresh_cache(2), 0u);
+    for (const std::uint16_t id : ids) {
+      const channel::BeamGains ref = reference_gains(miss.sim, id);
+      expect_gains_equal(miss.sim.gains(id), ref);
+      expect_gains_equal(batch.sim.gains(id), ref);
+    }
+  };
+  const auto both = [&](const auto& mutate) {
+    mutate(miss.sim);
+    mutate(batch.sim);
+  };
+
+  check("cold");
+  std::size_t blk = 0;
+  both([&](NetworkSimulator& s) { blk = s.room().add_blocker(channel::human_blocker(kOnLosA)); });
+  check("blocker added on A's LoS");
+  both([&](NetworkSimulator& s) { s.room().add_blocker({{6.0, 2.6}, 0.4, 18.0}); });
+  check("second blocker near the AP");
+  both([&](NetworkSimulator& s) { s.room().move_blocker(blk, {4.0, 3.4}); });
+  check("blocker moved");
+  both([&](NetworkSimulator& s) {
+    s.room().add_reflector({{1.0, 1.0}, {3.0, 1.0}}, channel::metal());
+  });
+  check("reflector added");
+  both([&](NetworkSimulator& s) { s.set_node_pose(ids[3], channel::Pose{{8.5, 5.0}, 2.8}); });
+  check("pose changed");
+  both([&](NetworkSimulator& s) { s.room().clear_blockers(); });
+  check("blockers cleared");
 }
 
 TEST(LinkCache, BlockerOnOneLosInvalidatesExactlyThatNode) {
