@@ -6,18 +6,23 @@
 //         block FIR, and the FramePipeline frame context
 //   ref   the retained pre-rewrite forms (tests/reference): one cos/sin
 //         pair per sample, twiddle-recurrence FFT, allocating per-call
-//         demodulators
+//         demodulators, and the scalar AWGN generator on the frozen
+//         std::mt19937_64 Rng (refrng::Rng, drawing the same numbers)
 //
 // --stage picks one workload for a machine-readable run (the JSON bench
 // name carries the stage, so tools/sweep_gate can compare a matched
 // ref/fast pair); the default `all` prints a ref-vs-fast table. CI's
 // bench-perf lane gates goertzel at >= 3x and the fig11-style frame
 // stage (synthesize -> AWGN -> joint demodulate at the pinned config) at
-// >= 2x.
+// >= 2x. The awgn stage's per-trial checksums fold every output bit, and
+// the table exits 1 if its ref and fast arms disagree.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "harness.hpp"
@@ -29,7 +34,9 @@
 #include "mmx/dsp/tone.hpp"
 #include "mmx/dsp/workspace.hpp"
 #include "mmx/phy/pipeline.hpp"
+#include "noise_ref.hpp"
 #include "reference_kernels.hpp"
+#include "rng_ref.hpp"
 
 using namespace mmx;
 
@@ -110,7 +117,10 @@ double trial_nco(bool fast) {
   return nco.generate(kSamples).back().real();
 }
 
-const phy::Bits& frame_bits(Rng& rng) {
+// The ref arms draw from refrng::Rng::stream(seed, i), the same numbers
+// as the runner's Rng::stream(seed, i) for trial i.
+template <typename R>
+const phy::Bits& frame_bits(R& rng) {
   thread_local phy::Bits frame;
   frame.assign(kPrefix.begin(), kPrefix.end());
   for (std::size_t i = 0; i < kFrameBits; ++i) frame.push_back(rng.chance(0.5) ? 1 : 0);
@@ -129,12 +139,17 @@ double trial_otam(bool fast, Rng& rng) {
   return std::abs(refdsp::otam_synthesize(bits, cfg, kChannel, spdt)[5]);
 }
 
-double trial_fig11(bool fast, Rng& rng) {
+// The fast arms take the library Rng, the ref arms the frozen refrng::Rng.
+template <typename R>
+constexpr bool kFastArm = std::is_same_v<R, Rng>;
+
+template <typename R>
+double trial_fig11(R& rng) {
   const phy::PhyConfig cfg = pinned_config();
   const rf::SpdtSwitch spdt;
   const phy::Bits& bits = frame_bits(rng);
   std::size_t errors = 0;
-  if (fast) {
+  if constexpr (kFastArm<R>) {
     phy::FramePipeline& pipe = phy::thread_pipeline(cfg);
     pipe.synthesize_otam(bits, kChannel, spdt);
     pipe.add_noise_snr(kSnrDb, rng);
@@ -142,23 +157,52 @@ double trial_fig11(bool fast, Rng& rng) {
     for (std::size_t i = kPrefix.size(); i < bits.size(); ++i) errors += (d.bits[i] != bits[i]);
   } else {
     dsp::Cvec rx = refdsp::otam_synthesize(bits, cfg, kChannel, spdt);
-    dsp::add_awgn_snr(rx, kSnrDb, rng);
+    refdsp::add_awgn_snr(rx, kSnrDb, rng);
     const phy::JointDecision d = refdsp::joint_demodulate(rx, cfg, kPrefix);
     for (std::size_t i = kPrefix.size(); i < bits.size(); ++i) errors += (d.bits[i] != bits[i]);
   }
   return static_cast<double>(errors) / static_cast<double>(kFrameBits);
 }
 
-const std::vector<std::string> kStages = {"goertzel", "fig11", "fft", "fir", "otam", "nco"};
+// One fig11 frame's worth of noise ((1000 + 4) symbols x 16 samples)
+// added at the pinned SNR; returns an FNV-1a fold of every output bit.
+template <typename R>
+double trial_awgn(R& rng) {
+  static const dsp::Cvec x = dsp::tone(16e6, 2e6, (kFrameBits + kPrefix.size()) * 16);
+  thread_local dsp::Cvec buf;
+  buf = x;
+  if constexpr (kFastArm<R>) {
+    dsp::add_awgn_snr(buf, kSnrDb, rng);
+  } else {
+    refdsp::add_awgn_snr(buf, kSnrDb, rng);
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const dsp::Complex& s : buf) {
+    h = (h ^ std::bit_cast<std::uint64_t>(s.real())) * 0x100000001b3ULL;
+    h = (h ^ std::bit_cast<std::uint64_t>(s.imag())) * 0x100000001b3ULL;
+  }
+  return static_cast<double>(h >> 11);  // exact: 53 bits
+}
 
-sim::SweepResult<double> run_stage(const std::string& stage, bool fast,
+const std::vector<std::string> kStages = {"goertzel", "fig11", "fft", "fir", "otam", "nco",
+                                          "awgn"};
+
+sim::SweepResult<double> run_stage(const std::string& stage, bool fast, std::uint64_t seed,
                                    sim::SweepRunner& runner) {
   if (stage == "goertzel") return runner.run([&](std::size_t, Rng&) { return trial_goertzel(fast); });
   if (stage == "fft") return runner.run([&](std::size_t, Rng&) { return trial_fft(fast); });
   if (stage == "fir") return runner.run([&](std::size_t, Rng&) { return trial_fir(fast); });
   if (stage == "nco") return runner.run([&](std::size_t, Rng&) { return trial_nco(fast); });
   if (stage == "otam") return runner.run([&](std::size_t, Rng& rng) { return trial_otam(fast, rng); });
-  return runner.run([&](std::size_t, Rng& rng) { return trial_fig11(fast, rng); });
+  const bool awgn = stage == "awgn";
+  if (fast) {
+    return runner.run(
+        [&](std::size_t, Rng& rng) { return awgn ? trial_awgn(rng) : trial_fig11(rng); });
+  }
+  return runner.run([&](std::size_t i, Rng&) {
+    refrng::Rng rng = refrng::Rng::stream(seed, i);
+    return awgn ? trial_awgn(rng) : trial_fig11(rng);
+  });
 }
 
 }  // namespace
@@ -168,30 +212,44 @@ int main(int argc, char** argv) {
   std::string kernels = "fast";
   const bench::Options opt = bench::parse_args(
       argc, argv, /*default_trials=*/600, /*default_seed=*/0x6d6d5821ULL, "trials per stage",
-      {{"--stage", "all|goertzel|fig11|fft|fir|otam|nco (default all)", &stage},
+      {{"--stage", "all|goertzel|fig11|fft|fir|otam|nco|awgn (default all)", &stage},
        {"--kernels", "fast|ref kernel set (default fast)", &kernels}});
   if (kernels != "fast" && kernels != "ref") {
     std::fprintf(stderr, "micro_dsp: --kernels must be fast or ref, got '%s'\n", kernels.c_str());
     return 2;
   }
   const bool fast = kernels == "fast";
+  const std::uint64_t seed = opt.sweep.seed;
   sim::SweepRunner runner(opt.sweep);
 
   if (stage == "all") {
     bench::JsonReport report("micro_dsp", opt);
     std::printf("# micro_dsp — ref vs fast kernels, %zu trials/stage, %zu threads\n",
                 opt.sweep.trials, runner.threads());
-    std::printf("%-10s %14s %14s %9s\n", "stage", "ref trials/s", "fast trials/s", "speedup");
+    std::printf("%-10s %14s %14s %9s %9s\n", "stage", "ref trials/s", "fast trials/s", "speedup",
+                "bitwise");
+    bool diverged = false;
     for (const std::string& s : kStages) {
-      const sim::SweepResult<double> ref = run_stage(s, /*fast=*/false, runner);
-      const sim::SweepResult<double> fst = run_stage(s, /*fast=*/true, runner);
+      const sim::SweepResult<double> ref = run_stage(s, /*fast=*/false, seed, runner);
+      const sim::SweepResult<double> fst = run_stage(s, /*fast=*/true, seed, runner);
       const double speedup = ref.trials_per_s > 0.0 ? fst.trials_per_s / ref.trials_per_s : 0.0;
-      std::printf("%-10s %14.1f %14.1f %8.2fx\n", s.c_str(), ref.trials_per_s, fst.trials_per_s,
-                  speedup);
+      // Only the awgn arms must agree bit for bit; the other stages'
+      // reference kernels round differently by design.
+      const char* bitwise = "-";
+      if (s == "awgn") {
+        const bool same = ref.trials == fst.trials;
+        bitwise = same ? "ok" : "MISMATCH";
+        if (!same) {
+          std::fprintf(stderr, "micro_dsp: awgn checksums diverge from the reference\n");
+          diverged = true;
+        }
+      }
+      std::printf("%-10s %14.1f %14.1f %8.2fx %9s\n", s.c_str(), ref.trials_per_s,
+                  fst.trials_per_s, speedup, bitwise);
       report.add_scalar("speedup_" + s, speedup);
       if (s == "fig11") report.record(fst);
     }
-    return report.write() ? 0 : 1;
+    return report.write() && !diverged ? 0 : 1;
   }
 
   bool known = false;
@@ -200,7 +258,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "micro_dsp: unknown --stage '%s'\n", stage.c_str());
     return 2;
   }
-  const sim::SweepResult<double> result = run_stage(stage, fast, runner);
+  const sim::SweepResult<double> result = run_stage(stage, fast, seed, runner);
   bench::report_timing(result);
   std::printf("[micro_dsp] stage=%s kernels=%s trials=%zu trials_per_s=%.1f\n", stage.c_str(),
               kernels.c_str(), result.trials.size(), result.trials_per_s);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "mmx/common/units.hpp"
+#include "mmx/dsp/noise.hpp"
 
 namespace mmx::rf {
 
@@ -24,11 +25,12 @@ double Amplifier::input_noise_power_w() const {
 
 dsp::Cvec Amplifier::process(std::span<const dsp::Complex> in, Rng& rng) const {
   const double amp_gain = std::sqrt(power_gain());
-  const double sigma = std::sqrt(input_noise_power_w() / 2.0);
   const double sat_amp = std::sqrt(dbm_to_watt(spec_.p1db_out_dbm));
-  dsp::Cvec out(in.size());
+  // Input-referred noise: one dsp::awgn block (I then Q per sample, the
+  // same draws as per-sample gaussian(sigma) pairs), overwritten in place.
+  dsp::Cvec out = dsp::awgn(in.size(), input_noise_power_w(), rng);
   for (std::size_t i = 0; i < in.size(); ++i) {
-    dsp::Complex s = in[i] + dsp::Complex{rng.gaussian(sigma), rng.gaussian(sigma)};
+    dsp::Complex s = in[i] + out[i];
     s *= amp_gain;
     // Soft limiter: amplitude compressed through tanh normalized to the
     // saturation level; linear within ~6 dB below P1dB.

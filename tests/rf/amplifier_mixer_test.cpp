@@ -51,6 +51,39 @@ TEST(Amplifier, SaturatesAboveP1db) {
   EXPECT_LT(watt_to_dbm(dsp::mean_power(y)), 11.0);
 }
 
+// Amplifier::process draws its input-referred noise through dsp::awgn;
+// the samples must equal the per-sample loop it replaced, which drew
+// Complex{gaussian(sigma), gaussian(sigma)} inline. Odd length, entered
+// with a spare pending, and tones on both sides of compression.
+TEST(Amplifier, NoiseMatchesPerSampleGaussianLoop) {
+  Amplifier lna = make_hmc751_lna(25e6);
+  dsp::Cvec x = dsp::tone(100e6, 1e6, 1001);
+  dsp::set_mean_power(x, dbm_to_watt(-60.0));
+  for (std::size_t i = 500; i < x.size(); ++i) x[i] *= 1e3;  // +0 dBm: saturates
+  Rng a(21);
+  Rng b(21);
+  EXPECT_EQ(a.gaussian(), b.gaussian());
+  const dsp::Cvec y = lna.process(x, a);
+
+  const double amp_gain = std::sqrt(lna.power_gain());
+  const double sigma = std::sqrt(lna.input_noise_power_w() / 2.0);
+  const double sat_amp = std::sqrt(dbm_to_watt(lna.spec().p1db_out_dbm));
+  ASSERT_EQ(y.size(), x.size());
+  std::size_t diffs = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    dsp::Complex s = x[i] + dsp::Complex{b.gaussian(sigma), b.gaussian(sigma)};
+    s *= amp_gain;
+    const double mag = std::abs(s);
+    if (mag > 0.0) {
+      const double compressed = sat_amp * std::tanh(mag / sat_amp);
+      s *= compressed / mag;
+    }
+    diffs += s != y[i];
+  }
+  EXPECT_EQ(diffs, 0u);
+  EXPECT_EQ(a.uniform(), b.uniform());
+}
+
 TEST(Amplifier, BadArgsThrow) {
   AmplifierSpec s;
   s.noise_figure_db = -1.0;
