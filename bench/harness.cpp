@@ -224,6 +224,7 @@ bool JsonReport::write() const {
   out << "  \"threads\": " << threads_used_ << ",\n";
   out << "  \"seed\": " << seed_ << ",\n";
   out << "  \"wall_s\": " << json_double(wall_s_) << ",\n";
+  if (process_wall_s_) out << "  \"process_wall_s\": " << json_double(*process_wall_s_) << ",\n";
   out << "  \"trials_per_s\": " << json_double(trials_per_s_) << ",\n";
   out << "  \"scalars\": {";
   for (std::size_t i = 0; i < scalars_.size(); ++i) {

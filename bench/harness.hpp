@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,6 +78,10 @@ class JsonReport {
   }
   void set_timing(std::size_t trials, std::size_t threads_used, double wall_s,
                   double trials_per_s);
+  /// Also report `"process_wall_s"` (written right after `"wall_s"`): the
+  /// wall time of the whole process, for benches whose `wall_s` covers
+  /// only a measurement phase.
+  void set_process_wall_s(double seconds) { process_wall_s_ = seconds; }
 
   /// Write to `options.json_path` if set (no-op otherwise). Returns false
   /// if the file could not be written.
@@ -91,6 +96,7 @@ class JsonReport {
   std::size_t trials_ = 0;
   std::size_t threads_used_ = 0;
   double wall_s_ = 0.0;
+  std::optional<double> process_wall_s_;
   double trials_per_s_ = 0.0;
   std::vector<sim::MetricSummary> metrics_;
   std::vector<std::pair<std::string, double>> scalars_;

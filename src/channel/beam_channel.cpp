@@ -1,7 +1,9 @@
 #include "mmx/channel/beam_channel.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
+#include "mmx/channel/propagation.hpp"
 #include "mmx/common/units.hpp"
 
 namespace mmx::channel {
@@ -13,20 +15,72 @@ double BeamGains::contrast_db() const {
   return std::abs(amp_to_db(a1 / a0));
 }
 
+PathBeamTerm path_beam_term(const Path& path, const Pose& node, const antenna::MmxBeamPair& beams,
+                            const Pose& ap, const antenna::Element& ap_antenna, double freq_hz) {
+  // Angles in each device's own frame.
+  const double dep = wrap_angle(path.departure_rad - node.orientation_rad);
+  const double arr = wrap_angle(path.arrival_rad - ap.orientation_rad);
+  // The factors of RayTracer::path_amplitude (path_gain) that do not
+  // depend on the excess loss.
+  const double phase = -wavenumber(freq_hz) * path.length_m;
+  PathBeamTerm t;
+  t.fixed_loss_db =
+      free_space_loss_db(path.length_m, freq_hz) + atmospheric_loss_db(path.length_m, freq_hz);
+  t.phasor = {std::cos(phase), std::sin(phase)};
+  t.rx_amp = ap_antenna.amplitude(arr);
+  t.f0 = beams.field(0, dep);
+  t.f1 = beams.field(1, dep);
+  return t;
+}
+
+void accumulate_path(BeamGains& g, const PathBeamTerm& term, double excess_loss_db) {
+  if (excess_loss_db < 0.0)
+    throw std::invalid_argument("accumulate_path: excess loss must be >= 0");
+  const double amp = db_to_amp(-(term.fixed_loss_db + excess_loss_db));
+  const std::complex<double> a = amp * term.phasor * term.rx_amp;
+  g.h0 += term.f0 * a;
+  g.h1 += term.f1 * a;
+  ++g.paths_used;
+}
+
 BeamGains beam_gains_from_paths(std::span<const Path> paths, const Pose& node,
                                 const antenna::MmxBeamPair& beams, const Pose& ap,
                                 const antenna::Element& ap_antenna, double freq_hz) {
   BeamGains g{};
-  for (const Path& p : paths) {
-    // Angles in each device's own frame.
-    const double dep = wrap_angle(p.departure_rad - node.orientation_rad);
-    const double arr = wrap_angle(p.arrival_rad - ap.orientation_rad);
-    const double rx_amp = ap_antenna.amplitude(arr);
-    const std::complex<double> a = RayTracer::path_amplitude(p, freq_hz) * rx_amp;
-    g.h0 += beams.field(0, dep) * a;
-    g.h1 += beams.field(1, dep) * a;
-    ++g.paths_used;
+  for (const Path& p : paths)
+    accumulate_path(g, path_beam_term(p, node, beams, ap, ap_antenna, freq_hz), p.excess_loss_db);
+  return g;
+}
+
+BeamGains record_paths(std::span<const Path> blocked, std::span<const Path> free,
+                       const Pose& node, const antenna::MmxBeamPair& beams, const Pose& ap,
+                       const antenna::Element& ap_antenna, double freq_hz,
+                       std::vector<PathRecord>& records) {
+  BeamGains g{};
+  records.reserve(records.size() + free.size());
+  std::size_t next = 0;  // next blockers-applied path to match
+  for (const Path& p : free) {
+    const PathRecord& r = records.emplace_back(
+        PathRecord{path_beam_term(p, node, beams, ap, ap_antenna, freq_hz), route_of(p)});
+    // A path is identified by its bounce walls; the blocked set is the
+    // free set minus the paths blockers pushed over the loss cap.
+    if (next < blocked.size() && blocked[next].wall_index == p.wall_index &&
+        blocked[next].wall_index2 == p.wall_index2)
+      accumulate_path(g, r.beam, blocked[next++].excess_loss_db);
   }
+  if (next != blocked.size())
+    throw std::logic_error("record_paths: blocked paths are not a subsequence of free ones");
+  return g;
+}
+
+BeamGains rescore_beam_gains(const RoomPlan& plan, Vec2 node, Vec2 ap,
+                             std::span<const PathRecord> records, PathList& ws,
+                             double max_excess_loss_db) {
+  BeamGains g{};
+  PathScore score;
+  for (const PathRecord& r : records)
+    if (plan.rescore(node, ap, r.route, ws, score, max_excess_loss_db))
+      accumulate_path(g, r.beam, score.excess_loss_db);
   return g;
 }
 

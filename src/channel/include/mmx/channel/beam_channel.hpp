@@ -10,6 +10,7 @@
 
 #include <complex>
 #include <span>
+#include <vector>
 
 #include "mmx/antenna/element.hpp"
 #include "mmx/antenna/mmx_beams.hpp"
@@ -34,6 +35,56 @@ struct BeamGains {
   double contrast_db() const;
 };
 
+/// The pose-only part of one path's term in the beam-gain sum: every
+/// factor of h_b that depends on the path's geometry and the two poses
+/// but not on its excess loss. A blocker delta changes only the excess
+/// loss, so a link cache keeps these and re-runs accumulate_path alone.
+struct PathBeamTerm {
+  double fixed_loss_db = 0.0;   ///< free-space + atmospheric loss [dB]
+  std::complex<double> phasor;  ///< cos/sin of the electrical phase -k * length
+  double rx_amp = 0.0;          ///< AP element amplitude at the arrival angle
+  std::complex<double> f0;      ///< Beam 0 field at the departure angle
+  std::complex<double> f1;      ///< Beam 1 field at the departure angle
+};
+
+PathBeamTerm path_beam_term(const Path& path, const Pose& node, const antenna::MmxBeamPair& beams,
+                            const Pose& ap, const antenna::Element& ap_antenna, double freq_hz);
+
+/// Add one path with excess loss `excess_loss_db` to `g`: the amplitude
+/// is db_to_amp(-((free + atm) + excess)), path_loss_db's sum order, and
+/// h_b += F_b * (amp * phasor * rx_amp). Throws std::invalid_argument on
+/// a negative excess loss, as path_loss_db does.
+void accumulate_path(BeamGains& g, const PathBeamTerm& term, double excess_loss_db);
+
+/// One wall-only path as a link cache stores it: the route a blocker
+/// delta re-scores (RoomPlan::rescore) and the path's beam term.
+struct PathRecord {
+  PathBeamTerm beam;
+  PathRoute route;
+};
+
+/// Gains and records of a full fill from a fused dual trace: appends one
+/// record per wall-only path in `free` (blocker-free, traced with the
+/// same walls, bounce count and loss cap as `blocked`) to `records`, and
+/// returns the gains of the blockers-applied set `blocked` — a
+/// subsequence of `free` in the same order — summed from those records'
+/// terms. Bit-identical to beam_gains_from_paths(blocked, ...).
+BeamGains record_paths(std::span<const Path> blocked, std::span<const Path> free,
+                       const Pose& node, const antenna::MmxBeamPair& beams, const Pose& ap,
+                       const antenna::Element& ap_antenna, double freq_hz,
+                       std::vector<PathRecord>& records);
+
+/// Gains of a blocker-delta refill, without tracing: re-scores each
+/// stored record against `plan`'s current blockers (node -> ap, the
+/// endpoints it was traced between), drops the ones over
+/// `max_excess_loss_db` and sums the rest in stored order. Bit-identical
+/// to beam_gains_from_paths over a fresh blockers-applied trace, provided
+/// `records` came from a wall-only trace of `plan`'s walls at the same
+/// poses, bounce count and loss cap.
+BeamGains rescore_beam_gains(const RoomPlan& plan, Vec2 node, Vec2 ap,
+                             std::span<const PathRecord> records, PathList& ws,
+                             double max_excess_loss_db);
+
 /// Compute the per-beam gains between a node (with the mmX beam pair)
 /// and the AP (with a single element pattern). Paths combine coherently
 /// (instantaneous channel, includes small-scale fading).
@@ -41,10 +92,10 @@ BeamGains compute_beam_gains(const RayTracer& tracer, const Pose& node,
                              const antenna::MmxBeamPair& beams, const Pose& ap,
                              const antenna::Element& ap_antenna, double freq_hz);
 
-/// Same accumulation over an already-traced path set — the entry point
-/// for the RoomPlan batch path, where one trace_batch_into produces the
-/// per-node path windows. Bit-identical to compute_beam_gains when
-/// `paths` is the trace of (node.position -> ap.position).
+/// Same accumulation over an already-traced path set: accumulate_path
+/// of each path's path_beam_term, in path order. Bit-identical to
+/// compute_beam_gains when `paths` is the trace of
+/// (node.position -> ap.position).
 BeamGains beam_gains_from_paths(std::span<const Path> paths, const Pose& node,
                                 const antenna::MmxBeamPair& beams, const Pose& ap,
                                 const antenna::Element& ap_antenna, double freq_hz);

@@ -43,4 +43,22 @@ struct Path {
   Vec2 via2{};
 };
 
+/// The wall-only route of a traced path: its bounce walls and reflection
+/// points, all that RoomPlan::rescore needs to re-apply the current
+/// blockers to the path without re-tracing it. The kind follows from the
+/// walls: none is line of sight, one a single and two a double bounce.
+struct PathRoute {
+  int wall_index = -1;
+  int wall_index2 = -1;
+  Vec2 via{};
+  Vec2 via2{};
+
+  PathKind kind() const {
+    if (wall_index < 0) return PathKind::kLineOfSight;
+    return wall_index2 < 0 ? PathKind::kReflected : PathKind::kDoubleReflected;
+  }
+};
+
+inline PathRoute route_of(const Path& p) { return {p.wall_index, p.wall_index2, p.via, p.via2}; }
+
 }  // namespace mmx::channel

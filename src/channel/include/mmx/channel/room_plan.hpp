@@ -25,10 +25,15 @@
 // naive reference tracer frozen in tests/reference/ray_tracer_ref.* —
 // same paths, same order, same doubles (tests/channel/room_plan_test.cpp,
 // and end to end through the link cache in
-// tests/sim/link_cache_test.cpp). See docs/GEOMETRY.md for the contract
-// and the broad-phase conservativeness argument.
+// tests/sim/link_cache_test.cpp). rescore() re-applies the current
+// blockers to one stored blocker-free path without tracing it, summing
+// its excess loss with the kernel's own helper, so a blocker delta can
+// be refilled from stored paths bit for bit
+// (tests/channel/rescore_test.cpp). See docs/GEOMETRY.md for the
+// contract and the broad-phase conservativeness argument.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -98,6 +103,12 @@ class PathList {
   std::uint32_t query_ = 0;
 };
 
+/// A path's blockers-applied loss, as RoomPlan::rescore recomputes it.
+struct PathScore {
+  double excess_loss_db = 0.0;
+  int blocker_crossings = 0;
+};
+
 struct RoomPlanConfig {
   /// Broad-phase grid cell size [m]; 0 = auto (room min dimension / 8,
   /// floored at 0.5 m so a human blocker spans at most ~2x2 cells).
@@ -159,13 +170,13 @@ class RoomPlan {
                                          bool apply_blockers = true) const;
 
   /// Fused batch: ONE geometric traversal per node yields BOTH the
-  /// blockers-applied path set (gains) and the blocker-free set
-  /// (corridors) — the intersections, leg lengths, angles and
-  /// transmission terms are shared, only the two loss accumulations
+  /// blockers-applied path set (gains) and the blocker-free set (the
+  /// link cache's path records) — the intersections, leg lengths, angles
+  /// and transmission terms are shared, only the two loss accumulations
   /// differ, and each runs in the reference order, so both result sets
   /// are bit-identical to separate trace_batch_into calls with
-  /// apply_blockers true / false. This is the cache-fill call: a fill
-  /// needs exactly these two sets per node (docs/GEOMETRY.md).
+  /// apply_blockers true / false. This is the full cache-fill call: a
+  /// fill needs exactly these two sets per node (docs/GEOMETRY.md).
   /// Node i's windows: out.slice(offsets_on[i], offsets_on[i+1]) with
   /// blockers, out.slice(offsets_off[i], offsets_off[i+1]) without (the
   /// off windows follow every on window in storage). Both offset spans
@@ -176,6 +187,23 @@ class RoomPlan {
                                               std::span<std::uint32_t> offsets_off,
                                               double max_excess_loss_db = 60.0,
                                               int max_bounces = 1) const;
+
+  /// Re-apply the current blockers to one wall-only path tx -> rx that a
+  /// trace of this plan's walls emitted (`route` = route_of(path)),
+  /// without re-tracing it: writes the blockers-applied excess loss and
+  /// crossings to `out` and returns whether a blockers-applied trace
+  /// keeps the path (excess <= max_excess_loss_db). The loss is summed by
+  /// the kernel's own helper, in its order: reflection dB, each leg's
+  /// blocker loss, each leg's transmission loss. So it is bit-identical
+  /// to the path trace_into(tx, rx, ..., apply_blockers = true) emits,
+  /// and the wall-only set filtered by it, in stored order, is exactly
+  /// that trace's path set: blocker losses are >= 0 and IEEE addition is
+  /// monotone, so no path the wall-only trace pruned can survive. This is
+  /// the blocker-delta refill of the link cache (docs/GEOMETRY.md).
+  /// The walls must be the ones the route was traced against; a wall
+  /// index this plan does not have throws std::out_of_range.
+  bool rescore(Vec2 tx, Vec2 rx, const PathRoute& route, PathList& ws, PathScore& out,
+               double max_excess_loss_db = 60.0) const;
 
  private:
   struct WallRec {
@@ -202,6 +230,19 @@ class RoomPlan {
                                     std::span<std::uint32_t> offsets,
                                     std::span<std::uint32_t> offsets_off,
                                     double max_excess_loss_db, int max_bounces) const;
+  /// Both loss sums of one path over the legs pts[0] -> ... -> pts[N-1]
+  /// (bounce_wall[k] = the wall reflecting at pts[k], -1 at the ends).
+  struct Losses {
+    double on = 0.0;   ///< blockers applied (kOn only)
+    double off = 0.0;  ///< blocker-free (kOff only)
+    int crossings = 0;
+  };
+  /// The one place the excess-loss sum order is written, shared by the
+  /// trace kernel and rescore(): reflection dB, then each leg's blocker
+  /// loss, then each leg's transmission loss (the naive tracer's order).
+  template <bool kOn, bool kOff, std::size_t N>
+  Losses route_losses(const std::array<Vec2, N>& pts, const std::array<int, N>& bounce_wall,
+                      double reflection_db, double blocker_scale, PathList& ws) const;
   void check_trace_args(int max_bounces) const;
   double blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_scale,
                          PathList& ws) const;

@@ -306,6 +306,32 @@ double RoomPlan::blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_sca
   return loss;
 }
 
+template <bool kOn, bool kOff, std::size_t N>
+RoomPlan::Losses RoomPlan::route_losses(const std::array<Vec2, N>& pts,
+                                        const std::array<int, N>& bounce_wall,
+                                        double reflection_db, double blocker_scale,
+                                        PathList& ws) const {
+  // Each sum adds its terms in the naive tracer's order ("+= 0.0"
+  // included — these losses are never -0.0 or NaN, so x += 0.0 keeps x's
+  // bits, and the line-of-sight sum's leading 0.0 + b is b). A leg skips
+  // the walls reflecting at its two ends.
+  Losses l;
+  l.on = reflection_db;
+  l.off = reflection_db;
+  if constexpr (kOn)
+    for (std::size_t k = 0; k + 1 < N; ++k)
+      l.on += blocker_loss_db(pts[k], pts[k + 1], l.crossings, blocker_scale, ws);
+  if constexpr (kOff)
+    for (std::size_t k = 0; k + 1 < N; ++k) l.off += 0.0;
+  for (std::size_t k = 0; k + 1 < N; ++k) {
+    const double t =
+        transmission_loss_db(pts[k], pts[k + 1], WallSkip{bounce_wall[k], bounce_wall[k + 1]});
+    l.on += t;
+    l.off += t;
+  }
+  return l;
+}
+
 template <RoomPlan::Emit E>
 void RoomPlan::trace_kernel(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& out,
                             std::size_t& off_count, double max_excess_loss_db,
@@ -313,8 +339,7 @@ void RoomPlan::trace_kernel(Vec2 tx, Vec2 rx, const ImageTable& images, PathList
   // One geometric pass, up to two loss sums. Every shared term
   // (intersections, legs, angles, transmission dB) is computed once; the
   // blockers-applied sum `on` and the blocker-free sum `off` each add
-  // their terms in the naive tracer's order ("+= 0.0" included — these
-  // losses are never -0.0 or NaN, so x += 0.0 keeps x's bits), so every
+  // their terms in the naive tracer's order (route_losses), so every
   // emitted path is bit-identical to the reference. A set the mode does
   // not emit is never summed, and kFree never scans a blocker.
   constexpr bool kOn = E != Emit::kFree;
@@ -322,22 +347,19 @@ void RoomPlan::trace_kernel(Vec2 tx, Vec2 rx, const ImageTable& images, PathList
   // `p` (the geometry, losses still unset) is taken by value: a reference
   // made GCC materialise and zero-fill every candidate path in memory,
   // ~10% of the refill stage in bench_micro_trace.
-  const auto emit = [&](Path p, double on, double off, int crossings) {
+  const auto emit = [&](Path p, const Losses& l) {
     if constexpr (kOn) {
-      p.excess_loss_db = on;
-      p.blocker_crossings = crossings;
-      if (on <= max_excess_loss_db) out.commit() = p;
+      p.excess_loss_db = l.on;
+      p.blocker_crossings = l.crossings;
+      if (l.on <= max_excess_loss_db) out.commit() = p;
     }
     if constexpr (kOff) {
-      if (off <= max_excess_loss_db) {
-        p.excess_loss_db = off;
+      if (l.off <= max_excess_loss_db) {
+        p.excess_loss_db = l.off;
         p.blocker_crossings = 0;
         (kOn ? out.dual_buf_[off_count++] : out.commit()) = p;
       }
     }
-  };
-  const auto blockers = [&](Vec2 a, Vec2 b, int& crossings, double scale) {
-    return blocker_loss_db(a, b, crossings, scale, out);
   };
 
   // --- Line of sight ---------------------------------------------------
@@ -347,14 +369,7 @@ void RoomPlan::trace_kernel(Vec2 tx, Vec2 rx, const ImageTable& images, PathList
     p.length_m = distance(tx, rx);
     p.departure_rad = (rx - tx).angle();
     p.arrival_rad = (tx - rx).angle();
-    int crossings = 0;
-    double on = 0.0;
-    double off = 0.0;
-    if constexpr (kOn) on = blockers(tx, rx, crossings, 1.0);
-    const double trans = transmission_loss_db(tx, rx, WallSkip{});
-    on += trans;
-    off += trans;
-    emit(p, on, off, crossings);
+    emit(p, route_losses<kOn, kOff, 2>({tx, rx}, {-1, -1}, 0.0, 1.0, out));
   }
 
   // --- Single-bounce reflections (image method) ------------------------
@@ -377,23 +392,9 @@ void RoomPlan::trace_kernel(Vec2 tx, Vec2 rx, const ImageTable& images, PathList
     p.arrival_rad = (via - rx).angle();
     p.wall_index = static_cast<int>(w);
     p.via = via;
-    int crossings = 0;
-    double on = wall.reflection_loss_db;
-    double off = wall.reflection_loss_db;
-    if constexpr (kOn) {
-      on += blockers(tx, via, crossings, kReflectedBlockageFraction);
-      on += blockers(via, rx, crossings, kReflectedBlockageFraction);
-    }
-    off += 0.0;
-    off += 0.0;
-    const int wall_id = static_cast<int>(w);
-    const double t1 = transmission_loss_db(tx, via, WallSkip{wall_id});
-    const double t2 = transmission_loss_db(via, rx, WallSkip{wall_id});
-    on += t1;
-    on += t2;
-    off += t1;
-    off += t2;
-    emit(p, on, off, crossings);
+    emit(p, route_losses<kOn, kOff, 3>({tx, via, rx}, {-1, p.wall_index, -1},
+                                       wall.reflection_loss_db, kReflectedBlockageFraction,
+                                       out));
   }
 
   // --- Double bounces (image of image) ----------------------------------
@@ -427,31 +428,43 @@ void RoomPlan::trace_kernel(Vec2 tx, Vec2 rx, const ImageTable& images, PathList
       p.wall_index2 = static_cast<int>(wj);
       p.via = p1;
       p.via2 = p2;
-      int crossings = 0;
-      double on = first.reflection_loss_db + second.reflection_loss_db;
-      double off = first.reflection_loss_db + second.reflection_loss_db;
-      if constexpr (kOn) {
-        on += blockers(tx, p1, crossings, kReflectedBlockageFraction);
-        on += blockers(p1, p2, crossings, kReflectedBlockageFraction);
-        on += blockers(p2, rx, crossings, kReflectedBlockageFraction);
-      }
-      off += 0.0;
-      off += 0.0;
-      off += 0.0;
-      const int wid = static_cast<int>(wi);
-      const int wjd = static_cast<int>(wj);
-      const double t1 = transmission_loss_db(tx, p1, WallSkip{wid});
-      const double t2 = transmission_loss_db(p1, p2, WallSkip{wid, wjd});
-      const double t3 = transmission_loss_db(p2, rx, WallSkip{wjd});
-      on += t1;
-      on += t2;
-      on += t3;
-      off += t1;
-      off += t2;
-      off += t3;
-      emit(p, on, off, crossings);
+      emit(p, route_losses<kOn, kOff, 4>(
+                  {tx, p1, p2, rx}, {-1, p.wall_index, p.wall_index2, -1},
+                  first.reflection_loss_db + second.reflection_loss_db,
+                  kReflectedBlockageFraction, out));
     }
   }
+}
+
+bool RoomPlan::rescore(Vec2 tx, Vec2 rx, const PathRoute& route, PathList& ws, PathScore& out,
+                       double max_excess_loss_db) const {
+  if (!compiled()) throw std::logic_error("RoomPlan: rescore before rebuild()");
+  const auto wall = [&](int w) -> const WallRec& {
+    if (w < 0 || static_cast<std::size_t>(w) >= walls_.size())
+      throw std::out_of_range("RoomPlan: rescore route names an unknown wall");
+    return walls_[static_cast<std::size_t>(w)];
+  };
+  ws.ensure_scratch(bx_.size());
+  Losses l;
+  switch (route.kind()) {
+    case PathKind::kLineOfSight:
+      l = route_losses<true, false, 2>({tx, rx}, {-1, -1}, 0.0, 1.0, ws);
+      break;
+    case PathKind::kReflected:
+      l = route_losses<true, false, 3>({tx, route.via, rx}, {-1, route.wall_index, -1},
+                                       wall(route.wall_index).reflection_loss_db,
+                                       kReflectedBlockageFraction, ws);
+      break;
+    case PathKind::kDoubleReflected:
+      l = route_losses<true, false, 4>(
+          {tx, route.via, route.via2, rx}, {-1, route.wall_index, route.wall_index2, -1},
+          wall(route.wall_index).reflection_loss_db + wall(route.wall_index2).reflection_loss_db,
+          kReflectedBlockageFraction, ws);
+      break;
+  }
+  out.excess_loss_db = l.on;
+  out.blocker_crossings = l.crossings;
+  return l.on <= max_excess_loss_db;
 }
 
 void RoomPlan::check_trace_args(int max_bounces) const {

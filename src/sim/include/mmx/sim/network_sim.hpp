@@ -6,9 +6,11 @@
 //
 // Link-layer results are memoized through a LinkCache keyed on
 // (node pose, Room::epoch()) — bit-identical to re-tracing, but repeated
-// gains()/link() queries against unchanged geometry cost a map lookup
-// instead of a ray trace (docs/SCALING.md). Set SimConfig::link_cache
-// false (or call link_uncached) to force fresh traces.
+// gains()/link() queries against unchanged geometry cost an array read
+// instead of a ray trace, and a node whose gains a moving blocker
+// invalidated is rescored from its stored paths instead of re-traced
+// (docs/SCALING.md). Set SimConfig::link_cache false (or call
+// link_uncached) to force fresh traces.
 #pragma once
 
 #include <map>
@@ -193,10 +195,11 @@ class NetworkSimulator {
   /// Compiled trace state shared by every cached evaluation: the RoomPlan
   /// (walls + blocker grid) plus the AP-endpoint ImageTable, both rebuilt
   /// lazily when Room::epoch() moves. Every cache fill, a single miss or
-  /// a batched refresh, traces through it via refill_block. The uncached
+  /// a batched refresh, traces or rescores through it. The uncached
   /// paths build their own RayTracer per call instead, so they never
   /// share this state; tests/sim/link_cache_test.cpp checks cached gains
-  /// against the frozen reference tracer (docs/GEOMETRY.md).
+  /// against the frozen reference tracer and beam-gain sum
+  /// (docs/GEOMETRY.md).
   struct TraceContext {
     channel::RoomPlan plan;
     channel::ImageTable ap_images;
@@ -205,6 +208,16 @@ class NetworkSimulator {
   struct RefillJob {
     std::uint16_t id = 0;
     channel::Pose pose;
+    /// The stored entry is stale at this very pose (a blocker delta): its
+    /// path records are rescored and the gains committed in place.
+    bool rescore = false;
+  };
+
+  /// One job's result: the new gains, plus a full fill's path records
+  /// (empty for a rescore).
+  struct Refill {
+    channel::BeamGains gains;
+    std::vector<channel::PathRecord> paths;
   };
 
   const NodeState& node(std::uint16_t id) const;
@@ -216,12 +229,14 @@ class NetworkSimulator {
   /// during a parallel refresh — refresh_cache primes it serially and
   /// hands workers the const reference.
   const TraceContext& trace_context() const;
-  /// Fill of one job block (a single cache miss is a block of one): one
-  /// fused dual trace for the jobs that need corridors and one gains
-  /// trace for jobs whose stale same-pose entry keeps its corridors,
-  /// sharing the AP image table across the block.
-  std::vector<LinkCache::Entry> refill_block(const TraceContext& ctx,
-                                             std::span<const RefillJob> jobs) const;
+  /// Refill of one job block (a single full-fill miss is a block of
+  /// one): rescore jobs re-apply the blockers to their stored path
+  /// records without tracing; the rest share one fused dual trace (gains
+  /// and wall-only paths from one geometric pass per node) against the
+  /// AP image table.
+  std::vector<Refill> refill_block(const TraceContext& ctx, std::span<const RefillJob> jobs) const;
+  /// Gains of a stale entry, rescored from its path records.
+  channel::BeamGains rescore_gains(const TraceContext& ctx, const LinkCache::Entry& stale) const;
   LinkCache::Entry& cache_entry(std::uint16_t id, const NodeState& n) const;
 
   channel::Room room_;

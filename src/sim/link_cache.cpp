@@ -1,6 +1,9 @@
 #include "mmx/sim/link_cache.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <stdexcept>
 
 #include "mmx/obs/obs.hpp"
 
@@ -21,13 +24,39 @@ void LinkCache::snapshot(const channel::Room& room) {
   primed_ = true;
 }
 
-bool LinkCache::touches(const std::vector<Corridor>& corridors, const DirtyDisc& disc) {
-  for (const Corridor& c : corridors) {
-    for (int i = 0; i + 1 < c.count; ++i) {
-      if (segment_hits_disc(c.waypoint[static_cast<std::size_t>(i)],
-                            c.waypoint[static_cast<std::size_t>(i + 1)], disc.center,
-                            disc.radius))
-        return true;
+bool LinkCache::touches(const Entry& entry, std::span<const DirtyDisc> dirty) const {
+  for (const channel::PathRecord& r : entry.paths) {
+    std::array<Vec2, 4> waypoint{};
+    std::size_t count = 0;
+    waypoint[count++] = entry.pose.position;
+    const channel::PathKind kind = r.route.kind();
+    if (kind != channel::PathKind::kLineOfSight) {
+      waypoint[count++] = r.route.via;
+      if (kind == channel::PathKind::kDoubleReflected) waypoint[count++] = r.route.via2;
+    }
+    waypoint[count++] = ap_;
+    for (std::size_t i = 0; i + 1 < count; ++i) {
+      const Vec2 a = waypoint[i];
+      const Vec2 b = waypoint[i + 1];
+      // A disc the exact test hits has a point within its radius on the
+      // segment, so it overlaps the segment's bounding box. The slack
+      // (far above the ~1e-16 relative rounding of the exact test's
+      // closest point and distance) keeps the reject conservative: it
+      // only skips discs the exact test would miss, so the invalidation
+      // decisions are unchanged.
+      const double slack =
+          1e-9 * (1.0 + std::abs(a.x) + std::abs(a.y) + std::abs(b.x) + std::abs(b.y));
+      const double minx = std::min(a.x, b.x) - slack;
+      const double maxx = std::max(a.x, b.x) + slack;
+      const double miny = std::min(a.y, b.y) - slack;
+      const double maxy = std::max(a.y, b.y) + slack;
+      for (const DirtyDisc& d : dirty) {
+        const double reach = d.radius * (1.0 + 1e-9);
+        if (d.center.x + reach < minx || d.center.x - reach > maxx ||
+            d.center.y + reach < miny || d.center.y - reach > maxy)
+          continue;
+        if (segment_hits_disc(a, b, d.center, d.radius)) return true;
+      }
     }
   }
   return false;
@@ -42,9 +71,7 @@ void LinkCache::reconcile(const channel::Room& room) {
 
   if (room.walls().size() != seen_walls_) {
     // Structural change: every path may have moved.
-    stats_.invalidated += live_;
-    slots_.clear();
-    live_ = 0;
+    clear();
     snapshot(room);
     return;
   }
@@ -70,15 +97,8 @@ void LinkCache::reconcile(const channel::Room& room) {
     if (!slot.present) continue;
     Entry& entry = slot.entry;
     if (entry.stale) continue;  // already invalid; nothing new to learn
-    bool drop = false;
-    for (const DirtyDisc& disc : dirty) {
-      if (touches(entry.corridors, disc)) {
-        drop = true;
-        break;
-      }
-    }
-    if (drop) {
-      // Corridors stay (walls and pose unchanged); only gains are dirty.
+    if (touches(entry, dirty)) {
+      // Path records stay (walls and pose unchanged); only gains are dirty.
       entry.stale = true;
       entry.has_otam = false;
       entry.has_fixed = false;
@@ -91,54 +111,63 @@ void LinkCache::reconcile(const channel::Room& room) {
 }
 
 bool LinkCache::valid(std::uint16_t id, const channel::Pose& pose) const {
-  return id < slots_.size() && slots_[id].present && !slots_[id].entry.stale &&
-         slots_[id].entry.pose == pose;
+  const Slot* slot = slot_of(id);
+  return slot != nullptr && !slot->entry.stale && slot->entry.pose == pose;
 }
 
 const LinkCache::Entry* LinkCache::find(std::uint16_t id) const {
-  if (id >= slots_.size() || !slots_[id].present) return nullptr;
-  return &slots_[id].entry;
+  const Slot* slot = slot_of(id);
+  return slot == nullptr ? nullptr : &slot->entry;
+}
+
+LinkCache::Entry& LinkCache::insert(std::uint16_t id, Entry entry) {
+  std::uint32_t pos = 0;
+  if (free_.empty()) {
+    pos = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{std::move(entry), /*present=*/true});
+  } else {
+    pos = free_.back();
+    free_.pop_back();
+    slots_[pos] = Slot{std::move(entry), /*present=*/true};
+  }
+  if (id >= index_.size()) index_.resize(id + 1);
+  index_[id] = pos + 1;
+  ++live_;
+  return slots_[pos].entry;
 }
 
 void LinkCache::store_refill(std::uint16_t id, Entry entry) {
   ++stats_.refills;
-  if (id >= slots_.size()) slots_.resize(id + 1);
-  Slot& slot = slots_[id];
-  slot.entry = std::move(entry);
-  if (!slot.present) ++live_;
-  slot.present = true;
+  if (Slot* slot = slot_of(id))
+    slot->entry = std::move(entry);
+  else
+    insert(id, std::move(entry));
+}
+
+void LinkCache::store_rescore(std::uint16_t id, const channel::BeamGains& gains) {
+  Slot* slot = slot_of(id);
+  if (slot == nullptr) throw std::logic_error("LinkCache: rescore of an absent entry");
+  ++stats_.refills;
+  slot->entry.gains = gains;
+  slot->entry.stale = false;
 }
 
 void LinkCache::erase(std::uint16_t id) {
-  if (id >= slots_.size() || !slots_[id].present) return;
-  slots_[id] = Slot{};
+  Slot* slot = slot_of(id);
+  if (slot == nullptr) return;
+  *slot = Slot{};  // releases the path records now, not at reuse
+  free_.push_back(index_[id] - 1);
+  index_[id] = 0;
   --live_;
   ++stats_.invalidated;
 }
 
 void LinkCache::clear() {
   stats_.invalidated += live_;
+  index_.clear();
   slots_.clear();
+  free_.clear();
   live_ = 0;
-}
-
-std::vector<LinkCache::Corridor> LinkCache::corridors_from_paths(
-    std::span<const channel::Path> paths, Vec2 node_position, Vec2 ap_position) {
-  std::vector<Corridor> out;
-  out.reserve(paths.size());
-  for (const channel::Path& p : paths) {
-    Corridor c;
-    c.waypoint[0] = node_position;
-    c.count = 1;
-    if (p.kind != channel::PathKind::kLineOfSight) {
-      c.waypoint[static_cast<std::size_t>(c.count++)] = p.via;
-      if (p.kind == channel::PathKind::kDoubleReflected)
-        c.waypoint[static_cast<std::size_t>(c.count++)] = p.via2;
-    }
-    c.waypoint[static_cast<std::size_t>(c.count++)] = ap_position;
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace mmx::sim

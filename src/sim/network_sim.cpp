@@ -13,9 +13,9 @@
 namespace mmx::sim {
 
 namespace {
-// Trace parameters behind gains(). The corridor (blocker-free) trace uses
-// the same ones, so the cache's corridor set stays a superset of the real
-// path set.
+// Trace parameters behind gains(). The wall-only (blocker-free) trace
+// behind the cache's path records uses the same ones, so the records stay
+// a superset of the real path set.
 constexpr double kTraceMaxExcessLossDb = 60.0;
 constexpr int kTraceMaxBounces = 1;
 
@@ -41,7 +41,8 @@ NetworkSimulator::NetworkSimulator(channel::Room room, channel::Pose ap_pose, Si
       ap_antenna_(),
       tma_(antenna::TimeModulatedArray::progressive(cfg.tma, cfg.tma_delay_frac, cfg.tma_tau)),
       init_(mac::FdmAllocator(cfg.band_low_hz, cfg.band_high_hz, cfg.init.guard_hz),
-            rf::Vco(cfg.node_vco), cfg.init) {
+            rf::Vco(cfg.node_vco), cfg.init),
+      cache_(ap_pose.position) {
   if (!room_.contains(ap_pose.position))
     throw std::invalid_argument("NetworkSimulator: AP outside the room");
   if (cfg.band_low_hz >= cfg.band_high_hz)
@@ -168,77 +169,63 @@ const NetworkSimulator::TraceContext& NetworkSimulator::trace_context() const {
   return ctx_;
 }
 
-std::vector<LinkCache::Entry> NetworkSimulator::refill_block(
+std::vector<NetworkSimulator::Refill> NetworkSimulator::refill_block(
     const TraceContext& ctx, std::span<const RefillJob> jobs) const {
   channel::PathList& ws = tls_path_list();
   thread_local std::vector<Vec2> txs;
   thread_local std::vector<std::uint32_t> offs;
   thread_local std::vector<std::uint32_t> wall_offs;
-  thread_local std::vector<std::size_t> need_corridors;  // job indices
-  thread_local std::vector<std::size_t> gains_only;      // job indices
-  ws.clear();
-  need_corridors.clear();
-  gains_only.clear();
+  thread_local std::vector<std::size_t> fills;  // job indices that trace
+  fills.clear();
 
-  // Partition: a stale same-pose prior keeps valid corridors (walls and
-  // pose decide them, and both are unchanged), so those jobs only need
-  // the gains trace; everyone else takes the fused dual trace that
-  // produces gains and corridors from one geometric pass per node.
-  std::vector<LinkCache::Entry> out(jobs.size());
+  // A stale same-pose entry keeps valid path records (walls and pose
+  // decide them, and both are unchanged), so only its blocker losses and
+  // the gain sum are redone; everyone else takes the fused dual trace.
+  std::vector<Refill> out(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out[i].pose = jobs[i].pose;
-    // Concurrent reads of the cache are safe here: nothing mutates it
-    // until the runner has joined and store_refill commits.
-    const LinkCache::Entry* prior = cache_.find(jobs[i].id);
-    if (prior != nullptr && prior->pose == jobs[i].pose) {
-      out[i].corridors = prior->corridors;
-      gains_only.push_back(i);
+    if (jobs[i].rescore) {
+      // Concurrent reads of the cache are safe here: nothing mutates it
+      // until the runner has joined and the results are committed.
+      out[i].gains = rescore_gains(ctx, *cache_.find(jobs[i].id));
     } else {
-      need_corridors.push_back(i);
+      fills.push_back(i);
     }
   }
+  if (fills.empty()) return out;
 
-  if (!need_corridors.empty()) {
-    txs.clear();
-    for (const std::size_t i : need_corridors) txs.push_back(jobs[i].pose.position);
-    offs.resize(txs.size() + 1);
-    wall_offs.resize(txs.size() + 1);
-    ctx.plan.trace_batch_dual_into(ap_pose_.position, txs, ctx.ap_images, ws, offs, wall_offs,
-                                   kTraceMaxExcessLossDb, kTraceMaxBounces);
-    for (std::size_t k = 0; k < need_corridors.size(); ++k) {
-      const std::size_t i = need_corridors[k];
-      out[i].gains =
-          channel::beam_gains_from_paths(ws.slice(offs[k], offs[k + 1]), jobs[i].pose, beams_,
-                                         ap_pose_, ap_antenna_, cfg_.freq_hz);
-      out[i].corridors = LinkCache::corridors_from_paths(
-          ws.slice(wall_offs[k], wall_offs[k + 1]), jobs[i].pose.position, ap_pose_.position);
-    }
-  }
-
-  if (!gains_only.empty()) {
-    txs.clear();
-    for (const std::size_t i : gains_only) txs.push_back(jobs[i].pose.position);
-    ws.clear();  // the dual pass's slices were consumed above
-    offs.resize(txs.size() + 1);
-    ctx.plan.trace_batch_into(ap_pose_.position, txs, ctx.ap_images, ws, offs,
-                              kTraceMaxExcessLossDb, kTraceMaxBounces,
-                              /*apply_blockers=*/true);
-    for (std::size_t k = 0; k < gains_only.size(); ++k) {
-      const std::size_t i = gains_only[k];
-      out[i].gains =
-          channel::beam_gains_from_paths(ws.slice(offs[k], offs[k + 1]), jobs[i].pose, beams_,
-                                         ap_pose_, ap_antenna_, cfg_.freq_hz);
-    }
+  ws.clear();
+  txs.clear();
+  for (const std::size_t i : fills) txs.push_back(jobs[i].pose.position);
+  offs.resize(txs.size() + 1);
+  wall_offs.resize(txs.size() + 1);
+  ctx.plan.trace_batch_dual_into(ap_pose_.position, txs, ctx.ap_images, ws, offs, wall_offs,
+                                 kTraceMaxExcessLossDb, kTraceMaxBounces);
+  for (std::size_t k = 0; k < fills.size(); ++k) {
+    const std::size_t i = fills[k];
+    out[i].gains = channel::record_paths(ws.slice(offs[k], offs[k + 1]),
+                                         ws.slice(wall_offs[k], wall_offs[k + 1]), jobs[i].pose,
+                                         beams_, ap_pose_, ap_antenna_, cfg_.freq_hz,
+                                         out[i].paths);
   }
   return out;
 }
 
+channel::BeamGains NetworkSimulator::rescore_gains(const TraceContext& ctx,
+                                                   const LinkCache::Entry& stale) const {
+  return channel::rescore_beam_gains(ctx.plan, stale.pose.position, ap_pose_.position,
+                                     stale.paths, tls_path_list(), kTraceMaxExcessLossDb);
+}
+
 LinkCache::Entry& NetworkSimulator::cache_entry(std::uint16_t id, const NodeState& n) const {
   cache_.reconcile(room_);
-  return cache_.ensure(id, n.pose, [&] {
-    const RefillJob job{id, n.pose};
-    return std::move(refill_block(trace_context(), {&job, 1}).front());
-  });
+  return cache_.ensure(
+      id, n.pose,
+      [&] {
+        const RefillJob job{id, n.pose};
+        Refill r = std::move(refill_block(trace_context(), {&job, 1}).front());
+        return LinkCache::Entry{.pose = n.pose, .gains = r.gains, .paths = std::move(r.paths)};
+      },
+      [&](const LinkCache::Entry& stale) { return rescore_gains(trace_context(), stale); });
 }
 
 channel::BeamGains NetworkSimulator::gains(std::uint16_t id) const {
@@ -280,9 +267,12 @@ std::size_t NetworkSimulator::refresh_cache(std::size_t threads) {
   std::vector<RefillJob> stale;
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     if (!nodes_[id].present) continue;
+    const auto nid = static_cast<std::uint16_t>(id);
     const channel::Pose& pose = nodes_[id].state.pose;
-    if (!cache_.valid(static_cast<std::uint16_t>(id), pose))
-      stale.push_back({static_cast<std::uint16_t>(id), pose});
+    if (cache_.valid(nid, pose)) continue;
+    // Present at this pose but not valid means stale: rescore in place.
+    const LinkCache::Entry* prior = cache_.find(nid);
+    stale.push_back({nid, pose, prior != nullptr && prior->pose == pose});
   }
   if (stale.empty()) return 0;
 
@@ -290,7 +280,7 @@ std::size_t NetworkSimulator::refresh_cache(std::size_t threads) {
   // workers below only read it.
   const TraceContext& ctx = trace_context();
 
-  // Fan block refills over the sweep engine: each entry is a pure
+  // Fan block refills over the sweep engine: each result is a pure
   // function of (pose, room), so any schedule commits identical bits; the
   // runner's trial-order commit then makes the whole refresh
   // order-independent. Blocks (not single nodes) are the work unit so
@@ -307,8 +297,16 @@ std::size_t NetworkSimulator::refresh_cache(std::size_t threads) {
     return refill_block(ctx, all.subspan(lo, std::min(kRefillBlock, stale.size() - lo)));
   });
   std::size_t next = 0;
-  for (std::vector<LinkCache::Entry>& block : filled.trials)
-    for (LinkCache::Entry& e : block) cache_.store_refill(stale[next++].id, std::move(e));
+  for (std::vector<Refill>& block : filled.trials) {
+    for (Refill& r : block) {
+      const RefillJob& job = stale[next++];
+      if (job.rescore)
+        cache_.store_rescore(job.id, r.gains);
+      else
+        cache_.store_refill(job.id, LinkCache::Entry{.pose = job.pose, .gains = r.gains,
+                                                     .paths = std::move(r.paths)});
+    }
+  }
   return stale.size();
 }
 

@@ -9,8 +9,11 @@
 #include "mmx/antenna/mmx_beams.hpp"
 #include "mmx/channel/beam_channel.hpp"
 #include "mmx/channel/room.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/sim/link_cache.hpp"
 #include "mmx/sim/network_sim.hpp"
+#include "beam_gains_ref.hpp"
+#include "mmx/common/rng.hpp"
 #include "ray_tracer_ref.hpp"
 
 namespace mmx::sim {
@@ -91,7 +94,9 @@ TEST(LinkCache, CachedLinkBitIdenticalToUncachedAcrossBlockerChurn) {
 
 // Gains recomputed from scratch by the frozen naive tracer
 // (tests/reference/ray_tracer_ref.*) at the simulator's pinned trace
-// config (1 bounce, 60 dB; network_sim.cpp) and its default antennas.
+// config (1 bounce, 60 dB; network_sim.cpp) and its default antennas,
+// summed by the frozen pre-split beam-gain function
+// (tests/reference/beam_gains_ref.*).
 channel::BeamGains reference_gains(const NetworkSimulator& sim, std::uint16_t id) {
   const SimConfig cfg;
   const antenna::MmxBeamPair beams(antenna::BeamPairSpec{.freq_hz = cfg.freq_hz});
@@ -99,7 +104,7 @@ channel::BeamGains reference_gains(const NetworkSimulator& sim, std::uint16_t id
   const reftrace::RayTracer tracer(sim.room());
   const channel::Pose& pose = sim.node_pose(id);
   const auto paths = tracer.trace(pose.position, sim.ap_pose().position, 60.0, 1, true);
-  return channel::beam_gains_from_paths(paths, pose, beams, sim.ap_pose(), ap_antenna,
+  return refbeam::beam_gains_from_paths(paths, pose, beams, sim.ap_pose(), ap_antenna,
                                         cfg.freq_hz);
 }
 
@@ -154,6 +159,247 @@ TEST(LinkCache, CachedGainsBitIdenticalToReferenceTracer) {
   check("pose changed");
   both([&](NetworkSimulator& s) { s.room().clear_blockers(); });
   check("blockers cleared");
+}
+
+// Blocker-delta refills rescore stored paths instead of tracing. Over
+// random blocker add/move/clear sequences (with an occasional pose
+// change, which forces a full fill), in a room with a partition and a
+// reflector, with heavy bodies that push paths over the 60 dB cap and
+// back, and crowds that switch the grid broad phase on (>= 8 blockers)
+// and off: every node's gains, refilled by single misses in one
+// simulator and by batched refreshes in the other, must equal the frozen
+// reference trace + beam-gain sum bit for bit.
+TEST(LinkCache, StaleRefillsBitIdenticalToReferenceAcrossBlockerSequences) {
+  const auto make = [] {
+    NetworkSimulator sim(channel::Room(10.0, 6.0), channel::Pose{kApPos, 0.3});
+    sim.room().add_partition({{7.0, 0.5}, {7.0, 2.5}}, channel::drywall());
+    sim.room().add_reflector({{1.0, 1.0}, {3.0, 1.2}}, channel::metal());
+    return sim;
+  };
+  NetworkSimulator miss = make();
+  NetworkSimulator batch = make();
+  Rng rng(0x5ca1e);
+  std::vector<std::uint16_t> ids;
+  for (int i = 0; i < 24; ++i) {
+    const channel::Pose pose{{rng.uniform(0.2, 9.8), rng.uniform(0.2, 5.8)},
+                             rng.uniform(-3.1, 3.1)};
+    ids.push_back(miss.add_tracked_node(pose));
+    EXPECT_EQ(batch.add_tracked_node(pose), ids.back());
+  }
+  std::size_t refills = 0;
+  for (int step = 0; step < 60; ++step) {
+    const double pick = rng.uniform();
+    const std::size_t n = miss.room().blockers().size();
+    if (pick < 0.05 || n > 14) {
+      miss.room().clear_blockers();
+      batch.room().clear_blockers();
+    } else if (pick < 0.1) {
+      const std::uint16_t id = ids[static_cast<std::size_t>(rng.uniform_int(0, 23))];
+      const channel::Pose pose{{rng.uniform(0.2, 9.8), rng.uniform(0.2, 5.8)},
+                               rng.uniform(-3.1, 3.1)};
+      miss.set_node_pose(id, pose);
+      batch.set_node_pose(id, pose);
+    } else if (pick < 0.55 || n == 0) {
+      const channel::Blocker b{{rng.uniform(0.3, 9.7), rng.uniform(0.3, 5.7)},
+                               rng.uniform(0.2, 0.6), rng.uniform(10.0, 75.0)};
+      miss.room().add_blocker(b);
+      batch.room().add_blocker(b);
+    } else {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
+      const Vec2 to{rng.uniform(0.3, 9.7), rng.uniform(0.3, 5.7)};
+      miss.room().move_blocker(i, to);
+      batch.room().move_blocker(i, to);
+    }
+    refills += batch.refresh_cache(2);
+    for (const std::uint16_t id : ids) {
+      SCOPED_TRACE(::testing::Message() << "step " << step << " node " << id << " blockers "
+                                        << miss.room().blockers().size());
+      const channel::BeamGains ref = reference_gains(miss, id);
+      expect_gains_equal(miss.gains(id), ref);
+      expect_gains_equal(batch.gains(id), ref);
+    }
+  }
+  // Most steps dirty some nodes; the two arms saw the same misses.
+  EXPECT_GT(refills, 200u);
+  EXPECT_EQ(miss.cache_stats().misses, batch.cache_stats().refills);
+}
+
+// The stale-entry contract at the LinkCache API: a blocker delta marks
+// the entry stale, and the next lookup at the same pose runs only the
+// rescore callable, committing its gains into the same entry — same
+// storage, same path records, no fill.
+TEST(LinkCache, StaleSamePoseLookupRescoresInPlace) {
+  channel::Room room(10.0, 6.0);
+  LinkCache cache(kApPos);
+  cache.reconcile(room);
+  const channel::Pose pose{kNodeAPos, -0.5};
+  int fills = 0;
+  int rescores = 0;
+  const auto fill = [&] {
+    ++fills;
+    LinkCache::Entry e;
+    e.pose = pose;
+    e.gains.paths_used = 1;
+    e.paths.push_back(channel::PathRecord{});  // the LoS: node -> AP
+    return e;
+  };
+  const auto rescore = [&](const LinkCache::Entry& stale) {
+    ++rescores;
+    channel::BeamGains g = stale.gains;
+    g.paths_used += 10;
+    return g;
+  };
+  LinkCache::Entry* first = &cache.ensure(7, pose, fill, rescore);
+  const channel::PathRecord* records = first->paths.data();
+  EXPECT_EQ(fills, 1);
+
+  room.add_blocker(channel::human_blocker(kOnLosA));  // on the stored LoS
+  cache.reconcile(room);
+  ASSERT_TRUE(cache.find(7)->stale);
+  LinkCache::Entry& again = cache.ensure(7, pose, fill, rescore);
+  EXPECT_EQ(&again, first);
+  EXPECT_EQ(again.paths.data(), records);
+  EXPECT_EQ(fills, 1);
+  EXPECT_EQ(rescores, 1);
+  EXPECT_FALSE(again.stale);
+  EXPECT_EQ(again.gains.paths_used, 11);
+  EXPECT_EQ(cache.stats().misses, 2u);
+
+  // The batched commit path does the same: gains in, records kept.
+  room.move_blocker(0, {kOnLosA.x + 0.1, kOnLosA.y});
+  cache.reconcile(room);
+  ASSERT_TRUE(cache.find(7)->stale);
+  channel::BeamGains g;
+  g.paths_used = 42;
+  cache.store_rescore(7, g);
+  EXPECT_EQ(cache.find(7), first);
+  EXPECT_EQ(cache.find(7)->paths.data(), records);
+  EXPECT_EQ(cache.find(7)->gains.paths_used, 42);
+  EXPECT_TRUE(cache.valid(7, pose));
+  EXPECT_EQ(cache.stats().refills, 1u);
+  EXPECT_THROW(cache.store_rescore(8, g), std::logic_error);
+}
+
+// Erased entries give their storage back: ids are never reused, but the
+// next insert takes the freed slot, and lookups stay exact.
+TEST(LinkCache, ErasedSlotsAreReusedAcrossIds) {
+  channel::Room room(10.0, 6.0);
+  LinkCache cache(kApPos);
+  cache.reconcile(room);
+  const auto fill_at = [](const channel::Pose& pose) {
+    return [pose] {
+      LinkCache::Entry e;
+      e.pose = pose;
+      return e;
+    };
+  };
+  const auto no_rescore = [](const LinkCache::Entry&) -> channel::BeamGains {
+    ADD_FAILURE() << "nothing is stale";
+    return {};
+  };
+  const channel::Pose p1{{1.0, 1.0}, 0.0};
+  const channel::Pose p2{{2.0, 2.0}, 0.0};
+  const LinkCache::Entry* e1 = &cache.ensure(1, p1, fill_at(p1), no_rescore);
+  cache.erase(1);
+  EXPECT_EQ(cache.find(1), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  const LinkCache::Entry* e2 = &cache.ensure(500, p2, fill_at(p2), no_rescore);
+  EXPECT_EQ(e2, e1);  // the freed slot, now id 500's
+  EXPECT_EQ(cache.find(1), nullptr);
+  EXPECT_TRUE(cache.valid(500, p2));
+  EXPECT_FALSE(cache.valid(500, p1));
+  EXPECT_EQ(cache.size(), 1u);
+  cache.store_refill(3, fill_at(p1)());
+  EXPECT_TRUE(cache.valid(3, p1));
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+// Delta invalidation skips the exact disc test behind a bounding-box
+// reject; it must decide exactly as the exact test alone. Random blocker
+// moves, most of them placed tangent to a stored path segment (distance
+// = radius, within a few ulps either way) — at an interior point, or
+// beyond an endpoint along an axis, where the disc's box only grazes the
+// segment's — are checked entry by entry against a brute-force
+// segment_hits_disc scan of the old and new discs.
+TEST(LinkCache, DeltaInvalidationMatchesExactDiscTest) {
+  channel::Room room(10.0, 6.0);
+  room.add_reflector({{1.0, 1.0}, {3.0, 1.2}}, channel::metal());
+  room.add_blocker({{4.0, 4.0}, 0.3, 15.0});
+  LinkCache cache(kApPos);
+  cache.reconcile(room);
+  const channel::RoomPlan plan(room);
+  channel::PathList ws;
+  Rng rng(0xaabb);
+  std::vector<channel::Pose> poses;
+  for (std::uint16_t id = 0; id < 40; ++id) {
+    const channel::Pose pose{{rng.uniform(0.2, 9.8), rng.uniform(0.2, 5.8)}, 0.0};
+    poses.push_back(pose);
+    ws.clear();
+    const auto paths = plan.trace_into(pose.position, kApPos, ws, 60.0, 2, false);
+    cache.ensure(
+        id, pose,
+        [&] {
+          LinkCache::Entry e;
+          e.pose = pose;
+          for (const channel::Path& p : paths) e.paths.push_back({{}, channel::route_of(p)});
+          return e;
+        },
+        [](const LinkCache::Entry& stale) { return stale.gains; });
+  }
+  const auto segments = [&](std::uint16_t id) {
+    std::vector<std::pair<Vec2, Vec2>> out;
+    const LinkCache::Entry& e = *cache.find(id);
+    for (const channel::PathRecord& r : e.paths) {
+      std::vector<Vec2> w{e.pose.position};
+      if (r.route.kind() != channel::PathKind::kLineOfSight) w.push_back(r.route.via);
+      if (r.route.kind() == channel::PathKind::kDoubleReflected) w.push_back(r.route.via2);
+      w.push_back(kApPos);
+      for (std::size_t i = 0; i + 1 < w.size(); ++i) out.emplace_back(w[i], w[i + 1]);
+    }
+    return out;
+  };
+
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  for (int step = 0; step < 400; ++step) {
+    const channel::Blocker was = room.blockers()[0];
+    Vec2 to{rng.uniform(0.1, 9.9), rng.uniform(0.1, 5.9)};
+    const int kind = step % 3;
+    if (kind != 0) {  // tangent to a random stored segment
+      const auto segs = segments(static_cast<std::uint16_t>(rng.uniform_int(0, 39)));
+      const auto& [a, b] = segs[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(segs.size()) - 1))];
+      const double reach =
+          was.radius * (1.0 + static_cast<double>(rng.uniform_int(-4, 4)) * 2.2e-16);
+      if (kind == 1) {
+        const Vec2 along = a + (b - a) * rng.uniform(0.0, 1.0);
+        to = along + unit_vector((b - a).angle() + 1.5707963267948966) * reach;
+      } else {
+        // Beyond the endpoint that is extreme along a random axis side.
+        const int side = rng.uniform_int(0, 3);
+        if (side == 0) to = (a.x > b.x ? a : b) + Vec2{reach, 0.0};
+        if (side == 1) to = (a.x < b.x ? a : b) - Vec2{reach, 0.0};
+        if (side == 2) to = (a.y > b.y ? a : b) + Vec2{0.0, reach};
+        if (side == 3) to = (a.y < b.y ? a : b) - Vec2{0.0, reach};
+      }
+    }
+    room.move_blocker(0, to);
+    std::vector<bool> expect(poses.size());
+    for (std::uint16_t id = 0; id < poses.size(); ++id)
+      for (const auto& [a, b] : segments(id))
+        if (segment_hits_disc(a, b, was.center, was.radius) ||
+            segment_hits_disc(a, b, to, was.radius))
+          expect[id] = true;
+    cache.reconcile(room);
+    for (std::uint16_t id = 0; id < poses.size(); ++id) {
+      ASSERT_EQ(cache.find(id)->stale, expect[id]) << "step " << step << " node " << id;
+      (expect[id] ? hits : misses) += 1;
+      cache.ensure(id, poses[id], [] { return LinkCache::Entry{}; },
+                   [](const LinkCache::Entry& stale) { return stale.gains; });
+    }
+  }
+  EXPECT_GT(hits, 1000u);
+  EXPECT_GT(misses, 1000u);
 }
 
 TEST(LinkCache, BlockerOnOneLosInvalidatesExactlyThatNode) {
