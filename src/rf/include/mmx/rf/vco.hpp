@@ -25,7 +25,7 @@ struct VcoSpec {
   /// RMS frequency jitter [Hz] representing close-in phase noise.
   double freq_jitter_hz = 0.0;
   /// Temperature coefficient [Hz/K]: free-running VCOs drift ~-1 MHz/K
-  /// class figures; the CFO corrector (phy/cfo.hpp) absorbs the result.
+  /// class figures.
   double temp_coefficient_hz_per_k = -1.0e6;
   /// Calibration temperature [K] at which the tuning curve is exact.
   double temp_ref_k = 298.0;

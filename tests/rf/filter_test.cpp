@@ -2,7 +2,6 @@
 
 #include "mmx/common/units.hpp"
 #include "mmx/rf/filter.hpp"
-#include "mmx/rf/pll.hpp"
 
 namespace mmx::rf {
 namespace {
@@ -58,43 +57,6 @@ TEST(CoupledLineFilter, BadSpecThrows) {
   EXPECT_THROW(CoupledLineFilter{s2}, std::invalid_argument);
   CoupledLineFilter f;
   EXPECT_THROW(f.lower_edge_hz(0.0), std::invalid_argument);
-}
-
-TEST(Pll, TunesTo10GHzForMmxAp) {
-  Pll pll;
-  const double f = pll.tune(10.0e9);
-  EXPECT_TRUE(pll.locked());
-  EXPECT_NEAR(f, 10.0e9, pll.spec().pfd_hz / 2.0);
-}
-
-TEST(Pll, SnapsToPfdGrid) {
-  Pll pll;
-  const double f = pll.tune(10.000037e9);
-  const double n = f / pll.spec().pfd_hz;
-  EXPECT_NEAR(n, std::round(n), 1e-9);
-  EXPECT_LE(std::abs(pll.tune_error_hz()), pll.spec().pfd_hz / 2.0);
-}
-
-TEST(Pll, OutOfRangeThrows) {
-  Pll pll;
-  EXPECT_THROW(pll.tune(1e9), std::out_of_range);
-  EXPECT_THROW(pll.tune(20e9), std::out_of_range);
-}
-
-TEST(Pll, SettleTime) {
-  Pll pll;
-  // 100 kHz loop -> 40 us settle.
-  EXPECT_NEAR(pll.settle_time_s(), 40e-6, 1e-9);
-}
-
-TEST(Pll, BadSpecThrows) {
-  PllSpec s;
-  s.reference_hz = 0.0;
-  EXPECT_THROW(Pll{s}, std::invalid_argument);
-  PllSpec s2;
-  s2.f_min_hz = 10e9;
-  s2.f_max_hz = 5e9;
-  EXPECT_THROW(Pll{s2}, std::invalid_argument);
 }
 
 }  // namespace

@@ -91,6 +91,19 @@ TEST(LinkBudget, AveragingImprovesBer) {
   EXPECT_LT(l16.ask_ber, l1.ask_ber);
 }
 
+TEST(LinkBudget, NoiseFloorIsTheReceiverChains) {
+  // The floor is computed once at construction; it must be the chain's
+  // value bit for bit, for the default and a non-default receiver.
+  LinkBudgetSpec custom;
+  custom.receiver.lna_nf_db = 3.5;
+  custom.receiver.mixer_loss_db = 7.0;
+  custom.receiver.noise_bandwidth_hz = 12.5e6;
+  for (const LinkBudgetSpec& spec : {LinkBudgetSpec{}, custom})
+    EXPECT_EQ(LinkBudget(spec).noise_floor_dbm(),
+              rf::ReceiverChain(spec.receiver).noise_floor_dbm());
+  EXPECT_NE(LinkBudget(custom).noise_floor_dbm(), LinkBudget().noise_floor_dbm());
+}
+
 TEST(LinkBudget, BadSpecThrows) {
   LinkBudgetSpec s;
   s.implementation_loss_db = -1.0;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -539,6 +541,72 @@ TEST(Layering, CmakeParsing) {
   ASSERT_EQ(g.links.count("phy"), 1u);
   EXPECT_EQ(g.links.at("phy").size(), 3u);
   EXPECT_EQ(g.links.at("phy").count("rf"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// orphan-module
+// ---------------------------------------------------------------------------
+
+const std::string kAdcHeader = "src/rf/include/mmx/rf/adc.hpp";
+
+std::vector<Finding> run_orphans(const std::set<std::string>& headers,
+                                 const std::map<std::string, std::set<std::string>>& includers) {
+  std::vector<Finding> f;
+  check_orphan_modules(headers, includers, f);
+  return f;
+}
+
+TEST(OrphanModule, OwnTuAndTestsOnlyFlagged) {
+  const auto f = run_orphans(
+      {kAdcHeader},
+      {{"mmx/rf/adc.hpp", {"src/rf/adc.cpp", "tests/rf/adc_test.cpp", "tests/support/x.hpp"}}});
+  ASSERT_EQ(count_rule(f, "orphan-module"), 1u);
+  EXPECT_EQ(f[0].file, kAdcHeader);
+  EXPECT_EQ(f[0].symbol, "mmx/rf/adc.hpp");
+  EXPECT_NE(f[0].message.find("src/rf/adc.cpp"), std::string::npos);
+}
+
+TEST(OrphanModule, HeaderOnlyModuleWithTestIncludersFlagged) {
+  const std::string header = "src/phy/include/mmx/phy/config.hpp";
+  EXPECT_EQ(count_rule(run_orphans({header}, {{"mmx/phy/config.hpp", {"tests/phy/a_test.cpp"}}}),
+                       "orphan-module"),
+            1u);
+  // Nothing includes it at all: still unreached.
+  EXPECT_EQ(count_rule(run_orphans({header}, {}), "orphan-module"), 1u);
+}
+
+TEST(OrphanModule, ReachedHeadersSilent) {
+  for (const char* user : {"src/rf/chain.cpp", "src/rf/include/mmx/rf/chain.hpp",
+                           "src/phy/otam.cpp", "bench/fig07_vco.cpp", "examples/quickstart.cpp",
+                           "tools/mmx_cli.cpp", "perfbench/src/phy_frames.cpp"}) {
+    const auto f = run_orphans(
+        {kAdcHeader}, {{"mmx/rf/adc.hpp", {"src/rf/adc.cpp", "tests/rf/adc_test.cpp", user}}});
+    EXPECT_EQ(count_rule(f, "orphan-module"), 0u) << user;
+  }
+  // Another module's .cpp of the same name is not the header's own TU.
+  EXPECT_EQ(count_rule(run_orphans({kAdcHeader}, {{"mmx/rf/adc.hpp", {"src/dsp/adc.cpp"}}}),
+                       "orphan-module"),
+            0u);
+}
+
+TEST(OrphanModule, BaselineSuppressesAndGoesStale) {
+  std::vector<Finding> meta;
+  std::vector<BaselineEntry> entries = parse_baseline(
+      "orphan-module src/rf/include/mmx/rf/adc.hpp mmx/rf/adc.hpp -- kept for the sample-level "
+      "front end\n",
+      "b.txt", meta);
+  ASSERT_TRUE(meta.empty());
+  std::vector<Finding> f =
+      run_orphans({kAdcHeader}, {{"mmx/rf/adc.hpp", {"src/rf/adc.cpp"}}});
+  EXPECT_EQ(apply_baseline(entries, "b.txt", f), 1u);
+  EXPECT_TRUE(f.empty());
+  // Once something outside tests/ includes the header the entry is stale.
+  entries = parse_baseline(
+      "orphan-module src/rf/include/mmx/rf/adc.hpp mmx/rf/adc.hpp -- kept\n", "b.txt", meta);
+  f = run_orphans({kAdcHeader}, {{"mmx/rf/adc.hpp", {"src/rf/adc.cpp", "bench/a.cpp"}}});
+  EXPECT_EQ(apply_baseline(entries, "b.txt", f), 0u);
+  ASSERT_EQ(count_rule(f, "stale-baseline"), 1u);
+  EXPECT_EQ(count_rule(f, "orphan-module"), 0u);
 }
 
 // ---------------------------------------------------------------------------

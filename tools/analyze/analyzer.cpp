@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -157,8 +158,13 @@ AnalyzeResult analyze_repo(const AnalyzeOptions& opts) {
   std::vector<Finding> findings;
   std::map<std::string, std::vector<Suppression>> suppressions;
   IncludeGraph graph;
+  std::set<std::string> src_headers;
+  std::map<std::string, std::set<std::string>> includers;  // "mmx/<m>/<x>.hpp" -> files
 
-  for (const char* top : {"src", "tests", "bench", "examples", "tools"}) {
+  // perfbench/ is read for its includes only: it may reach a module, but
+  // no per-file rule runs on it.
+  for (const char* top : {"src", "tests", "bench", "examples", "tools", "perfbench"}) {
+    const bool checked = std::string_view(top) != "perfbench";
     for (const fs::path& p : collect(root / top, {".hpp", ".cpp", ".h", ".cc"})) {
       std::string text;
       const std::string rel = fs::relative(p, root).generic_string();
@@ -166,8 +172,12 @@ AnalyzeResult analyze_repo(const AnalyzeOptions& opts) {
         findings.push_back({"io", rel, 0, "read", "could not read file"});
         continue;
       }
-      ++result.files_scanned;
       LexedFile f = lex(text, rel);
+      for (const IncludeDirective& inc : f.includes)
+        if (inc.path.rfind("mmx/", 0) == 0) includers[inc.path].insert(rel);
+      if (!checked) continue;
+      ++result.files_scanned;
+      if (rel.rfind("src/", 0) == 0 && p.extension() == ".hpp") src_headers.insert(rel);
       run_file_rules(f, classify(rel), findings);
       if (!f.suppressions.empty()) suppressions[rel] = f.suppressions;
       const std::optional<std::string> from = module_of(rel);
@@ -191,6 +201,7 @@ AnalyzeResult analyze_repo(const AnalyzeOptions& opts) {
     }
   }
   check_layering(graph, findings);
+  check_orphan_modules(src_headers, includers, findings);
 
   result.inline_suppressed = apply_inline_suppressions(suppressions, findings);
 

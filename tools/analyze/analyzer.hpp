@@ -3,8 +3,10 @@
 // The flow is: lex every TU under {src, tests, bench, examples, tools}
 // -> run the per-file token rules -> assemble the module graph (mmx/
 // includes + src/*/CMakeLists.txt link edges) and run the layering
-// checks -> drop findings covered by inline `allow()` comments or by
-// the checked-in baseline -> report (human text, SARIF, DOT graph).
+// checks -> flag src/ headers that only their own .cpp and tests/
+// include (perfbench/ is read for its includes too) -> drop findings
+// covered by inline `allow()` comments or by the checked-in baseline
+// -> report (human text, SARIF, DOT graph).
 #pragma once
 
 #include <map>

@@ -184,6 +184,29 @@ void check_layering(const IncludeGraph& graph, std::vector<Finding>& out) {
   }
 }
 
+void check_orphan_modules(const std::set<std::string>& headers,
+                          const std::map<std::string, std::set<std::string>>& includers,
+                          std::vector<Finding>& out) {
+  static const std::string kIncludeDir = "/include/";
+  for (const std::string& header : headers) {
+    const std::optional<std::string> mod = module_of(header);
+    const std::size_t dir = header.find(kIncludeDir);
+    if (header.rfind("src/", 0) != 0 || !mod || dir == std::string::npos) continue;
+    const std::string path = header.substr(dir + kIncludeDir.size());
+    const std::string name = header.substr(header.rfind('/') + 1);
+    const std::string own_tu = "src/" + *mod + "/" + name.substr(0, name.rfind('.')) + ".cpp";
+    bool reached = false;
+    if (const auto it = includers.find(path); it != includers.end())
+      for (const std::string& file : it->second)
+        reached |= file != own_tu && file.rfind("tests/", 0) != 0;
+    if (reached) continue;
+    out.push_back({"orphan-module", header, 0, path,
+                   path + " is included only by its own " + own_tu +
+                       " and tests/: no other src/ file, bench, example, tool or perfbench file "
+                       "reaches it; delete the module or wire it in"});
+  }
+}
+
 std::string to_dot(const IncludeGraph& graph) {
   std::set<std::pair<std::string, std::string>> link_edges, include_edges;
   for (const ModuleEdge& e : graph.edges) {

@@ -11,6 +11,10 @@
 // (tools / bench / tests / examples sit on top and may use anything),
 // rejects any edge that climbs the DAG or forms a cycle, and requires
 // every cross-module include in src/ to be backed by a CMake link edge.
+//
+// The orphan-module check works on the header level: it flags a src/
+// public header that no library, bench, example, tool or perfbench file
+// includes, i.e. code that only its own unit test reaches.
 #pragma once
 
 #include <map>
@@ -61,6 +65,16 @@ void parse_cmake_links(std::string_view text, const std::string& rel, IncludeGra
 
 /// Run every layering check over the assembled graph.
 void check_layering(const IncludeGraph& graph, std::vector<Finding>& out);
+
+/// orphan-module: flag every src/ public header
+/// (`src/<m>/include/mmx/<m>/<x>.hpp`, repo-relative, in `headers`) whose
+/// only includers are its own `src/<m>/<x>.cpp` and files under tests/.
+/// `includers` maps an include path ("mmx/<m>/<x>.hpp") to the
+/// repo-relative files that include it. Findings are keyed by the header
+/// path, so a kept module needs a reasoned baseline entry.
+void check_orphan_modules(const std::set<std::string>& headers,
+                          const std::map<std::string, std::set<std::string>>& includers,
+                          std::vector<Finding>& out);
 
 /// Graphviz dump of the module graph (solid = link, dashed = include).
 std::string to_dot(const IncludeGraph& graph);

@@ -583,6 +583,8 @@ const std::vector<RuleInfo>& rule_table() {
       {"db-arith", "dB<->linear arithmetic lives only in units.{hpp,cpp}"},
       {"trig-per-sample", "no sin/cos inside loops of DSP kernel TUs; use the phasor fast path"},
       {"layering", "module include/link edges must follow the docs/ARCHITECTURE.md DAG"},
+      {"orphan-module",
+       "every src/ header is included by something other than its own .cpp and tests/"},
       {"hot-path-alloc",
        "no heap allocation in *_into kernels or FftPlan/Nco/Goertzel*/FramePipeline/RoomPlan/"
        "PathList methods"},
